@@ -180,6 +180,26 @@ void BM_PaillierScalarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierScalarMul)->Unit(benchmark::kMicrosecond);
 
+// The blinded comparison's ScalarMul(c_d, -rho) against ScalarMul(c_d, rho),
+// rho of the default 40 blind bits. A negative scalar raises c⁻¹ to |k|, so
+// the two should cost about the same; scripts/bench_smoke.sh guards the
+// ratio.
+void BM_PaillierScalarMulBlind(benchmark::State& state, int sign) {
+  KeyFixture& f = Fixture(1024);
+  auto c = f.kp.pub.Encrypt(BigInt(333), f.rng);
+  if (!c.ok()) std::abort();
+  SecureRandom rng(9);
+  BigInt rho = rng.NextBits(40) + BigInt(1);
+  if (sign < 0) rho = -rho;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.kp.pub.ScalarMul(*c, rho));
+  }
+}
+BENCHMARK_CAPTURE(BM_PaillierScalarMulBlind, rho, 1)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_PaillierScalarMulBlind, neg_rho, -1)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_PrimeGeneration(benchmark::State& state) {
   SecureRandom rng(5);
   for (auto _ : state) {

@@ -19,13 +19,16 @@
 #     the identical checksummed wire-v6 frames (overhead budget: 2x)
 #   - arena alloc: GMP allocations per packed-SMC pair, arena off vs on
 #     (reduction floor: 5x)
+#   - short exponent: ScalarMul(c, -rho) vs ScalarMul(c, rho) at the default
+#     40 blind bits (ratio ceiling: 2x)
 #
 #   scripts/bench_smoke.sh [build-dir]           # run + write BENCH_hotpath.json
 #   scripts/bench_smoke.sh --check [build-dir]   # run, compare against the
 #       committed BENCH_hotpath.json and fail if any recorded speedup drops
 #       below 80% of its committed value, if the async-datapath overhead
-#       ratio exceeds 2x, or if the arena allocation reduction falls below
-#       5x; the committed file is not rewritten
+#       ratio exceeds 2x, if the arena allocation reduction falls below
+#       5x, or if a negative scalar costs over 2x a positive one; the
+#       committed file is not rewritten
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,9 +46,9 @@ cmake --build "$BUILD" -j --target micro_crypto micro_blocking timing_table \
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-echo "== micro_crypto: CRT decrypt + fixed-base randomizer (1024 bit) =="
+echo "== micro_crypto: CRT decrypt + fixed-base randomizer + ±rho ScalarMul =="
 "./$BUILD/bench/micro_crypto" \
-  --benchmark_filter='(BM_PaillierDecrypt(Crt|Reference)|BM_Randomizer(FixedBasePow|ReferencePowMod))/1024' \
+  --benchmark_filter='(BM_PaillierDecrypt(Crt|Reference)|BM_Randomizer(FixedBasePow|ReferencePowMod))/1024|BM_PaillierScalarMulBlind/' \
   --benchmark_format=json --benchmark_out="$TMP/crypto.json" \
   --benchmark_out_format=json
 
@@ -120,6 +123,8 @@ crt_ms = bench_ms["BM_PaillierDecryptCrt/1024"]
 ref_ms = bench_ms["BM_PaillierDecryptReference/1024"]
 fb_ms = bench_ms["BM_RandomizerFixedBasePow/1024"]
 powmod_ms = bench_ms["BM_RandomizerReferencePowMod/1024"]
+rho_ms = bench_ms["BM_PaillierScalarMulBlind/rho"]
+neg_rho_ms = bench_ms["BM_PaillierScalarMulBlind/neg_rho"]
 
 def series(path):
     with open(os.path.join(tmp, path)) as f:
@@ -282,6 +287,17 @@ report["arena_alloc"] = {
     "reduction": arena["reduction"],
 }
 
+# Short-exponent homomorphic ops: the blinded comparison's ScalarMul(c, -rho)
+# vs ScalarMul(c, rho). A negative scalar exponentiates c⁻¹ by |k| rather
+# than c by n - |k|, so the ratio sits near 1. Guarded below by its own
+# ceiling (<= 2.0), not the generic loop.
+report["short_exponent"] = {
+    "blind_bits": 40,
+    "scalar_mul_rho_ms": rho_ms,
+    "scalar_mul_neg_rho_ms": neg_rho_ms,
+    "neg_over_pos_ratio": neg_rho_ms / rho_ms,
+}
+
 if check:
     with open("BENCH_hotpath.json") as f:
         committed = json.load(f)
@@ -321,6 +337,14 @@ if check:
     else:
         print(f"check OK arena_alloc.reduction: {reduction:.2f} "
               f"(floor 5.0)")
+    neg_ratio = report["short_exponent"]["neg_over_pos_ratio"]
+    if neg_ratio > 2.0:
+        failures.append(
+            f"short_exponent.neg_over_pos_ratio: measured {neg_ratio:.2f} "
+            f"> 2.0 ceiling")
+    else:
+        print(f"check OK short_exponent.neg_over_pos_ratio: "
+              f"{neg_ratio:.2f} (ceiling 2.0)")
     if failures:
         print("BENCH CHECK FAILED:", *failures, sep="\n  ")
         sys.exit(1)

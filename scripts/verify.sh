@@ -213,14 +213,16 @@ cmake --build build-tsan -j --target obs_test blocking_test session_test \
 ./build-tsan/tests/material_test
 ./build-tsan/tests/journal_test
 
-echo "== UBSan: wire/journal codecs + membership + fault schedules =="
+echo "== UBSan: wire/journal codecs + membership + fault schedules + mpz ops =="
 cmake -B build-ubsan -S . -DHPRL_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j --target fault_test membership_test \
-  journal_test net_test framing_test
+  journal_test net_test framing_test crypto_test arena_test
 ./build-ubsan/tests/fault_test
 ./build-ubsan/tests/membership_test
 ./build-ubsan/tests/journal_test
 ./build-ubsan/tests/net_test
 ./build-ubsan/tests/framing_test
+./build-ubsan/tests/crypto_test
+./build-ubsan/tests/arena_test
 
 echo "== verify OK =="

@@ -60,9 +60,9 @@ BigInt PaillierPublicKey::Add(const BigInt& c1, const BigInt& c2) const {
 }
 
 BigInt PaillierPublicKey::ScalarMul(const BigInt& c, const BigInt& k) const {
-  if (scalar_muls_ != nullptr) scalar_muls_->Increment();
-  BigInt e = k % n_;  // negative scalars map to n - |k|
-  return BigInt::PowMod(c, e, n2_);
+  BigInt scratch, out;
+  ScalarMulInto(c, k, &scratch, &out);
+  return out;
 }
 
 Status PaillierPublicKey::EncryptInto(const BigInt& m, SecureRandom& rng,
@@ -109,6 +109,17 @@ void PaillierPublicKey::AddInto(BigInt* acc, const BigInt& c) const {
 void PaillierPublicKey::ScalarMulInto(const BigInt& c, const BigInt& k,
                                       BigInt* scratch, BigInt* out) const {
   if (scalar_muls_ != nullptr) scalar_muls_->Increment();
+  // Negative k: Enc(m)^k = (c⁻¹ mod n²)^|k|, an exponent as short as |k|
+  // where the n - |k| embedding costs a full modulus-width one. A c sharing a
+  // factor with n (forged, yet inside (0, n²)) has no inverse; it falls back
+  // to the embedding below. mpz_powm itself is never handed a negative
+  // exponent — it raises divide-by-zero when the inverse does not exist.
+  if (k.Sign() < 0 && mpz_invert(scratch->raw(), c.raw(), n2_.raw()) != 0) {
+    // c is consumed, so *out may hold |k| even when c or k aliases it.
+    mpz_neg(out->raw(), k.raw());
+    mpz_powm(out->raw(), scratch->raw(), out->raw(), n2_.raw());
+    return;
+  }
   mpz_mod(scratch->raw(), k.raw(), n_.raw());  // negative k maps to n - |k|
   mpz_powm(out->raw(), c.raw(), scratch->raw(), n2_.raw());
 }

@@ -55,7 +55,10 @@ class PaillierPublicKey {
   /// Homomorphic addition of plaintexts.
   BigInt Add(const BigInt& c1, const BigInt& c2) const;
 
-  /// Homomorphic multiplication by a (possibly negative) scalar.
+  /// Homomorphic multiplication by a (possibly negative) scalar. The
+  /// exponent is as short as |k|: a negative k raises c⁻¹ mod n² to |k|.
+  /// Only a c with no inverse mod n² (never an honest ciphertext) takes the
+  /// full-width n - |k| exponent instead; both decrypt to k·m.
   BigInt ScalarMul(const BigInt& c, const BigInt& k) const;
 
   /// In-place variants for arena-backed callers (the packed SMC hot path):
@@ -74,7 +77,7 @@ class PaillierPublicKey {
   /// *acc = *acc ⊕ c.
   void AddInto(BigInt* acc, const BigInt& c) const;
 
-  /// *out = c ×h k (k may be negative).
+  /// *out = c ×h k (k may be negative); ScalarMul computes through here.
   void ScalarMulInto(const BigInt& c, const BigInt& k, BigInt* scratch,
                      BigInt* out) const;
 

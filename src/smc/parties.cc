@@ -295,10 +295,12 @@ Status DataHolder::SendAttrsPacked(MessageBus* bus, const std::string& peer,
     costs->encryptions += 1;
     std::vector<uint8_t> payload;
     AppendBigInt(c_px2, &payload);
-    BigInt& m2x = arena_->Next();
+    BigInt& m2x = arena_->Next();  // -2x_i · W_i = -2x_i << (slot_bits · i)
     BigInt& ct = arena_->Next();
-    for (const BigInt& x : xs) {
-      mpz_mul_si(m2x.raw(), x.raw(), -2);
+    for (size_t i = 0; i < xs.size(); ++i) {
+      mpz_mul_si(m2x.raw(), xs[i].raw(), -2);
+      mpz_mul_2exp(m2x.raw(), m2x.raw(),
+                   static_cast<mp_bitcnt_t>(layout.slot_bits) * i);
       HPRL_RETURN_IF_ERROR(
           pub_.EncryptSignedInto(m2x, *rng_, &scratch, &ct));
       costs->encryptions += 1;
@@ -317,8 +319,12 @@ Status DataHolder::SendAttrsPacked(MessageBus* bus, const std::string& peer,
   costs->encryptions += 1;
   std::vector<uint8_t> payload;
   AppendBigInt(*c_px2, &payload);
-  for (const BigInt& x : xs) {
-    auto c_m2x = pub_.EncryptSigned(BigInt(-2) * x, *rng_);
+  // Slot i's cross-term ciphertext arrives pre-shifted, Enc(-2x_i · W_i), so
+  // Bob's exponent is y_i alone rather than y_i · W_i. |2x_i| < 2^slot_bits
+  // by the carry check, so |-2x_i · W_i| < n/2 survives the signed encoding.
+  for (size_t i = 0; i < xs.size(); ++i) {
+    auto c_m2x =
+        pub_.EncryptSigned(BigInt(-2) * xs[i] * layout.SlotWeight(i), *rng_);
     if (!c_m2x.ok()) return c_m2x.status();
     costs->encryptions += 1;
     AppendBigInt(*c_m2x, &payload);
@@ -368,12 +374,9 @@ Status DataHolder::FoldAndForwardPacked(MessageBus* bus,
     mpz_set(acc.raw(), c_px2.raw());
     pub_.AddInto(&acc, c_py2);
     costs->homomorphic_adds += 1;
-    BigInt& weight = arena_->Next();  // y_i · W_i = y_i << (slot_bits · i)
     BigInt& term = arena_->Next();
     for (size_t i = 0; i < ys.size(); ++i) {
-      mpz_mul_2exp(weight.raw(), ys[i].raw(),
-                   static_cast<mp_bitcnt_t>(layout.slot_bits) * i);
-      pub_.ScalarMulInto(*c_m2x[i], weight, &scratch, &term);
+      pub_.ScalarMulInto(*c_m2x[i], ys[i], &scratch, &term);
       pub_.AddInto(&acc, term);
     }
     costs->homomorphic_adds += static_cast<int64_t>(ys.size());
@@ -402,12 +405,13 @@ Status DataHolder::FoldAndForwardPacked(MessageBus* bus,
   auto c_py2 = pub_.Encrypt(*packed_y2, *rng_);
   if (!c_py2.ok()) return c_py2.status();
   costs->encryptions += 1;
-  // Σ_i Enc(d_i · W_i): the x² terms arrive pre-packed, the cross terms are
-  // steered into slot i by scaling Enc(-2x_i) with y_i · W_i.
+  // Σ_i Enc(d_i · W_i): the x² terms arrive pre-packed and each cross term
+  // Enc(-2x_i · W_i) arrives pre-shifted into slot i, so scaling it by y_i
+  // lands -2x_i·y_i in slot i with an exponent only as wide as y_i.
   BigInt acc = pub_.Add(*c_px2, *c_py2);
   costs->homomorphic_adds += 1;
   for (size_t i = 0; i < ys.size(); ++i) {
-    acc = pub_.Add(acc, pub_.ScalarMul(c_m2x[i], ys[i] * layout.SlotWeight(i)));
+    acc = pub_.Add(acc, pub_.ScalarMul(c_m2x[i], ys[i]));
   }
   costs->homomorphic_adds += static_cast<int64_t>(ys.size());
   costs->scalar_muls += static_cast<int64_t>(ys.size());

@@ -134,15 +134,16 @@ class DataHolder {
                         SmcCosts* costs);
 
   /// Packed Alice: one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
-  /// slot's x² packed into ONE plaintext — plus per-slot Enc(-2·x_i). Cuts
+  /// slot's x² packed into ONE plaintext — plus per-slot Enc(-2·x_i·W_i),
+  /// already shifted into slot i so Bob's fold exponent is just y_i. Cuts
   /// the 2k scalar encryptions of k SendAttr calls to k + 1. The caller has
   /// already checked carry safety ((|x|+|y|)² fits a slot) for every slot.
   Status SendAttrsPacked(MessageBus* bus, const std::string& peer,
                          const std::vector<crypto::BigInt>& xs,
                          const crypto::PackingLayout& layout, SmcCosts* costs);
 
-  /// Packed Bob: folds y_i into slot i through the slot weight —
-  ///   Enc(Σ d_i·W_i) = Enc(Σx_i²W_i) +h Σ_i (Enc(-2x_i) ×h y_i·W_i)
+  /// Packed Bob: folds y_i into the pre-shifted slot-i ciphertext —
+  ///   Enc(Σ d_i·W_i) = Enc(Σx_i²W_i) +h Σ_i (Enc(-2x_iW_i) ×h y_i)
   ///                    +h Enc(Σ y_i²W_i),  d_i = (x_i - y_i)²
   /// — and forwards ONE ciphertext to the querying party where the scalar
   /// protocol sends k.

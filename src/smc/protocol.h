@@ -179,7 +179,7 @@ class SecureRecordComparator {
 
   /// Runs the packed variant of the §V-A exchange on up to
   /// PackedGroupPairs() pairs at once: one "alice_pk" message (packed
-  /// Enc(Σx²·W) plus per-slot Enc(-2x)), one folded "bob_pk" ciphertext,
+  /// Enc(Σx²·W) plus per-slot Enc(-2x·W)), one folded "bob_pk" ciphertext,
   /// ONE decryption, then a single group result announcement. Pairs whose
   /// values fail the per-slot carry-safety check are compared through the
   /// scalar path instead (same labels, see SmcConfig::pack_pairs). Returns

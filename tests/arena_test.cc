@@ -137,16 +137,25 @@ TEST_F(InPlaceOpsTest, AddIntoAndScalarMulIntoMatchValueOps) {
   pub.AddInto(&acc, *c2);
   EXPECT_EQ(acc, pub.Add(*c1, *c2));
 
+  // Negative scalars take the c⁻¹ path; -n/2 gives it a modulus-width |k|.
   BigInt scratch, out;
-  for (int64_t k : {-3, 0, 1, 7}) {
-    pub.ScalarMulInto(*c1, BigInt(k), &scratch, &out);
-    EXPECT_EQ(out, pub.ScalarMul(*c1, BigInt(k))) << "k=" << k;
-  }
+  for (const BigInt& k : {BigInt(-3), BigInt(0) - pub.n() / BigInt(2),
+                          BigInt(0), BigInt(1), BigInt(7)}) {
+    const BigInt want = pub.ScalarMul(*c1, k);
+    // ScalarMul is the in-place op on fresh temporaries; pin the plaintext
+    // too so the pair cannot agree on a wrong answer.
+    EXPECT_EQ(*kp_->priv.Decrypt(want), (k * BigInt(1111)) % pub.n());
+    pub.ScalarMulInto(*c1, k, &scratch, &out);
+    EXPECT_EQ(out, want) << "k=" << k.ToString();
 
-  // Aliasing contract: inputs may alias *out.
-  BigInt aliased = *c1;
-  pub.ScalarMulInto(aliased, BigInt(7), &scratch, &aliased);
-  EXPECT_EQ(aliased, pub.ScalarMul(*c1, BigInt(7)));
+    // Aliasing contract: inputs may alias *out, the ciphertext or the scalar.
+    BigInt c_alias = *c1;
+    pub.ScalarMulInto(c_alias, k, &scratch, &c_alias);
+    EXPECT_EQ(c_alias, want) << "k=" << k.ToString();
+    BigInt k_alias = k;
+    pub.ScalarMulInto(*c1, k_alias, &scratch, &k_alias);
+    EXPECT_EQ(k_alias, want) << "k=" << k.ToString();
+  }
 }
 
 // --------------------------------------------- packed exchange label parity

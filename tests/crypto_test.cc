@@ -196,6 +196,46 @@ TEST_F(PaillierTest, NegativeScalarMul) {
   EXPECT_EQ(*d, BigInt(-120));
 }
 
+TEST_F(PaillierTest, NegativeScalarsDecryptToProductShortAndNearHalfN) {
+  // A negative k exponentiates c⁻¹ by |k|; the plaintext must still be k·m
+  // mod n, for short scalars (the protocol's y and -rho) and for scalars
+  // near -n/2, where |k| is as wide as the modulus.
+  SecureRandom vals(41);
+  const BigInt half = pub_.n() / BigInt(2);
+  for (int round = 0; round < 16; ++round) {
+    BigInt m = vals.NextBelow(pub_.n());
+    BigInt k = round % 2 == 0 ? -(vals.NextBits(64) + BigInt(1))
+                              : -(half - vals.NextBits(32));
+    auto c = pub_.Encrypt(m, rng_);
+    ASSERT_TRUE(c.ok());
+    auto d = priv_.Decrypt(pub_.ScalarMul(*c, k));
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(*d, (k * m) % pub_.n()) << "round " << round;
+  }
+}
+
+TEST(PaillierScalarMulTest, NonInvertibleCiphertextTakesFullWidthExponent) {
+  // c = p lies in (0, n²) and passes ValidateCiphertext, but shares the
+  // factor p with n, so c⁻¹ mod n² does not exist. ScalarMul must neither
+  // crash (GMP divides by zero on a negative mpz_powm exponent without an
+  // inverse) nor change meaning: it keeps the c^(n - |k|) embedding.
+  SecureRandom rng(1234);
+  const BigInt p = rng.NextPrime(kTestKeyBits / 2);
+  const BigInt q = rng.NextPrime(kTestKeyBits / 2);
+  auto priv = PaillierPrivateKey::FromPrimes(p, q);
+  ASSERT_TRUE(priv.ok());
+  PaillierPublicKey pub(priv->n());
+  ASSERT_TRUE(pub.ValidateCiphertext(p).ok());
+  BigInt scratch, out;
+  for (const BigInt& k : {BigInt(-1), BigInt(-987654321),
+                          BigInt(0) - pub.n() / BigInt(2)}) {
+    const BigInt want = BigInt::PowMod(p, k % pub.n(), pub.n_squared());
+    EXPECT_EQ(pub.ScalarMul(p, k), want) << k.ToString();
+    pub.ScalarMulInto(p, k, &scratch, &out);
+    EXPECT_EQ(out, want) << k.ToString();
+  }
+}
+
 TEST_F(PaillierTest, PaperSquaredDistanceIdentity) {
   // The §V-A computation: Enc(x²) +h (Enc(-2x) ×h y) +h Enc(y²) = Enc((x-y)²).
   int64_t x = 357, y = 123;
@@ -484,25 +524,37 @@ TEST(PackingTest, RejectsOverflowNegativeAndTooMany) {
 }
 
 TEST_F(PaillierTest, PackedFoldMatchesScalarSquaredDistances) {
-  // Satellite property test: pack the x² vector, fold in Enc(-2x_i)·(y_i·W_i)
-  // and the packed y² vector homomorphically, decrypt ONCE, unpack — every
-  // slot must equal the scalar (x_i - y_i)², including at the fixed-point
-  // extremes where |x| + |y| squared fills the 64-bit slot exactly.
+  // Satellite property test: pack the x² vector, fold in the pre-shifted
+  // Enc(-2x_i·W_i) scaled by y_i alone and the packed y² vector
+  // homomorphically, decrypt ONCE, unpack — every slot must equal the scalar
+  // (x_i - y_i)², including at the fixed-point extremes where |x| + |y|
+  // squared fills the 64-bit slot exactly.
   auto layout = PackingLayout::Plan(pub_.modulus_bits(), 64);
   ASSERT_TRUE(layout.ok());
   const size_t k = static_cast<size_t>(layout->num_slots);
   ASSERT_GE(k, 3u);
   SecureRandom vals(31);
   const BigInt kMax((1LL << 31) - 1);  // |x|+|y| <= 2^32-1 keeps (x-y)² in-slot
-  for (int round = 0; round < 6; ++round) {
+  for (int round = 0; round < 7; ++round) {
     std::vector<BigInt> xs(k), ys(k);
     if (round == 0) {
       // Extremes: the carry-safety boundary, zero, and negative encodings
       // (FixedPointCodec turns -2.5 into -2500 — signed values flow through
-      // Enc(-2x) and y·W as-is).
+      // Enc(-2x·W) and y as-is).
       xs = {kMax, BigInt(0), FixedPointCodec(1000).Encode(-2.5)};
       ys = {-kMax - BigInt(1), BigInt(0), FixedPointCodec(1000).Encode(1.5)};
       for (size_t i = 3; i < k; ++i) xs[i] = ys[i] = BigInt(0);
+    } else if (round == 1) {
+      // The widest plaintext Alice encrypts: |x| + |y| at the carry-check
+      // limit in the top slot, so |-2x·W_{k-1}| = 2^32·W_{k-1}, which must
+      // still sit below n/2 for the signed encoding to round-trip.
+      for (size_t i = 0; i < k; ++i) xs[i] = ys[i] = BigInt(0);
+      xs[k - 1] = -kMax - BigInt(1);
+      ys[k - 1] = kMax;
+      xs[k - 2] = kMax;
+      ys[k - 2] = -kMax - BigInt(1);
+      BigInt mag = BigInt(2) * (kMax + BigInt(1)) * layout->SlotWeight(k - 1);
+      ASSERT_LT(mag, pub_.n() / BigInt(2));
     } else {
       for (size_t i = 0; i < k; ++i) {
         xs[i] = vals.NextBelow(kMax) - vals.NextBelow(kMax);
@@ -522,9 +574,10 @@ TEST_F(PaillierTest, PackedFoldMatchesScalarSquaredDistances) {
     ASSERT_TRUE(cx2.ok() && cy2.ok());
     BigInt acc = pub_.Add(*cx2, *cy2);
     for (size_t i = 0; i < k; ++i) {
-      auto cm2x = pub_.EncryptSigned(BigInt(-2) * xs[i], rng_);
+      auto cm2x =
+          pub_.EncryptSigned(BigInt(-2) * xs[i] * layout->SlotWeight(i), rng_);
       ASSERT_TRUE(cm2x.ok());
-      acc = pub_.Add(acc, pub_.ScalarMul(*cm2x, ys[i] * layout->SlotWeight(i)));
+      acc = pub_.Add(acc, pub_.ScalarMul(*cm2x, ys[i]));
     }
     auto packed = priv_.Decrypt(acc);
     ASSERT_TRUE(packed.ok()) << packed.status().ToString();
