@@ -185,10 +185,13 @@ echo "== bench check: hot-path speedups vs committed BENCH_hotpath.json =="
 # 80% of its committed value (scripts/bench_smoke.sh --check).
 scripts/bench_smoke.sh --check
 
-echo "== ASan: fault injection + membership/scheduler + TCP + material =="
+echo "== ASan: fault injection + membership/scheduler + TCP + material + parallel SMC =="
+# parallel_smc_test: the packed engine's workers read one per-batch table of
+# Alice's cross terms while other workers' groups run.
 cmake -B build-asan -S . -DHPRL_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target fault_test membership_test net_test \
-  material_test journal_test framing_test arena_test
+  material_test journal_test framing_test arena_test parallel_smc_test
+./build-asan/tests/parallel_smc_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/membership_test
 ./build-asan/tests/net_test

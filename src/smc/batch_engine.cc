@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -54,7 +55,69 @@ void MaybePinWorker(bool pin, size_t w) {
   (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 }
 
+/// Runs task(w, i) for every i in [0, n) on up to `threads` workers, which
+/// pull indices off one atomic cursor. Worker 0 is the calling thread; the
+/// others are spawned for the call. The first failure stops every worker
+/// from taking more, and the failure at the smallest index is returned, so
+/// a batch reports the same error however its work was spread.
+template <typename Task>
+Status StealEach(size_t threads, size_t n, bool pin, const Task& task) {
+  threads = std::min(threads, n);
+  if (threads <= 1) {
+    for (size_t i = 0; i < n; ++i) HPRL_RETURN_IF_ERROR(task(size_t{0}, i));
+    return Status::OK();
+  }
+  std::atomic<size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  std::vector<Status> status(threads, Status::OK());
+  std::vector<size_t> failed_at(threads, n);
+  auto drain = [&](size_t w) {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      Status st = task(w, i);
+      if (!st.ok()) {
+        status[w] = std::move(st);
+        failed_at[w] = i;
+        failed.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  for (size_t w = 1; w < threads; ++w) {
+    pool.emplace_back([&, w] {
+      MaybePinWorker(pin, w);
+      drain(w);
+    });
+  }
+  drain(0);
+  for (auto& th : pool) th.join();
+  size_t best = 0;
+  for (size_t w = 1; w < threads; ++w) {
+    if (failed_at[w] < failed_at[best]) best = w;
+  }
+  return status[best];
+}
+
 }  // namespace
+
+int OfflineRandomizers(const SmcConfig& config, const MatchRule& rule) {
+  if (config.offline_pairs <= 0) return config.randomizer_pool_depth;
+  const int64_t pairs = config.offline_pairs;
+  const int64_t attrs =
+      std::max<int64_t>(1, static_cast<int64_t>(rule.attrs.size()));
+  const int64_t group = PackedGroupPairs(config, rule);
+  // Scalar: Alice's Enc(x²) and Enc(-2x) plus Bob's Enc(y²) per attribute.
+  // Packed: one cross term per attribute plus the group's two packed
+  // squares, even when no cross term is shared.
+  const int64_t want = group > 0
+                           ? pairs * attrs + 2 * ((pairs + group - 1) / group)
+                           : pairs * 3 * attrs;
+  return static_cast<int>(
+      std::min<int64_t>(want, std::numeric_limits<int>::max()));
+}
 
 BatchSmcEngine::BatchSmcEngine(SmcConfig config, MatchRule rule, int threads)
     : config_(config), rule_(std::move(rule)), threads_(std::max(1, threads)) {}
@@ -94,12 +157,7 @@ Status BatchSmcEngine::Init() {
       if (loaded.ok() && pool_->AdoptMaterial(*loaded).ok()) {
         material_warm_ = true;
       } else {
-        const int attrs = std::max<int>(1, static_cast<int>(
-                                               rule_.attrs.size()));
-        const int want = config_.offline_pairs > 0
-                             ? config_.offline_pairs * 3 * attrs
-                             : config_.randomizer_pool_depth;
-        pool_->Prewarm(want);
+        pool_->Prewarm(OfflineRandomizers(config_, rule_));
         // Best-effort: a read-only store degrades to always-cold, never to
         // a failed run.
         (void)material_store_->Save(pool_->ExportMaterial(slot));
@@ -174,12 +232,10 @@ Result<std::vector<uint8_t>> BatchSmcEngine::CompareBatch(
   }
   WallTimer batch_timer;
   std::vector<uint8_t> labels(batch.size(), 0);
-  const size_t active = std::min(
-      static_cast<size_t>(threads_),
-      std::max<size_t>(1, (batch.size() + kStealChunk - 1) / kStealChunk));
+  const size_t threads = static_cast<size_t>(threads_);
 
-  auto quarantine = [&](std::vector<uint8_t>* out, size_t i) {
-    (*out)[i] = kPairQuarantined;
+  auto quarantine = [&](size_t i) {
+    labels[i] = kPairQuarantined;
     pairs_quarantined_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_ != nullptr) obs::Add(metrics_, "smc.pairs_quarantined");
   };
@@ -192,156 +248,73 @@ Result<std::vector<uint8_t>> BatchSmcEngine::CompareBatch(
       static_cast<size_t>(workers_.front()->PackedGroupPairs());
   if (group_pairs >= 1) {
     const size_t num_groups = (batch.size() + group_pairs - 1) / group_pairs;
-    const size_t active_groups =
-        std::min(static_cast<size_t>(threads_), std::max<size_t>(1, num_groups));
-
-    auto run_group = [&](size_t w, size_t g) -> Status {
+    std::vector<std::vector<RowPairRequest>> groups(num_groups);
+    for (size_t g = 0; g < num_groups; ++g) {
       const size_t begin = g * group_pairs;
       const size_t end = std::min(begin + group_pairs, batch.size());
-      std::vector<RowPairRequest> group(batch.begin() + begin,
-                                        batch.begin() + end);
-      auto matches = workers_[w]->ComparePackedGroup(group);
-      if (matches.ok()) {
-        for (size_t i = begin; i < end; ++i) {
-          labels[i] = (*matches)[i - begin] ? kPairMatch : kPairNonMatch;
-        }
-        return Status::OK();
-      }
-      Status st = matches.status();
-      if (IsFaultClass(st)) {
-        // Quarantine granularity is the group here: one packed exchange is
-        // indivisible, so a crash mid-group takes its whole group out.
-        for (size_t i = begin; i < end; ++i) quarantine(&labels, i);
-        return RestartWorker(w);
-      }
-      return st;
-    };
+      groups[g].assign(batch.begin() + static_cast<std::ptrdiff_t>(begin),
+                       batch.begin() + static_cast<std::ptrdiff_t>(end));
+    }
 
-    if (active_groups <= 1) {
-      for (size_t g = 0; g < num_groups; ++g) {
-        HPRL_RETURN_IF_ERROR(run_group(0, g));
-      }
-    } else {
-      std::atomic<size_t> cursor{0};
-      std::atomic<bool> failed{false};
-      std::vector<Status> worker_status(active_groups, Status::OK());
-      std::vector<size_t> error_group(active_groups, num_groups);
+    // Alice's cross terms, once per (Alice row, position in the group). The
+    // selection heuristic emits pairs grouped by Alice row, so consecutive
+    // groups repeat the same keys; planning is a plaintext pass over the
+    // group plan, and the table it yields depends on the batch alone, so
+    // encryption counts are the same at every thread count.
+    CrossTermTable cross_terms;
+    for (const auto& group : groups) {
+      HPRL_RETURN_IF_ERROR(
+          workers_.front()->PlanCrossTerms(group, &cross_terms));
+    }
+    std::vector<PackedCrossTerms*> unfilled;
+    unfilled.reserve(cross_terms.size());
+    for (auto& entry : cross_terms) unfilled.push_back(&entry.second);
+    HPRL_RETURN_IF_ERROR(StealEach(
+        threads, unfilled.size(), config_.pin_cores,
+        [&](size_t w, size_t k) {
+          return workers_[w]->EncryptCrossTerms(unfilled[k]);
+        }));
 
-      auto drain_groups = [&](size_t w) {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const size_t g = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (g >= num_groups) break;
-          Status st = run_group(w, g);
-          if (!st.ok()) {
-            worker_status[w] = st;
-            error_group[w] = g;
-            failed.store(true, std::memory_order_relaxed);
-            return;
+    HPRL_RETURN_IF_ERROR(StealEach(
+        threads, num_groups, config_.pin_cores,
+        [&](size_t w, size_t g) -> Status {
+          const size_t begin = g * group_pairs;
+          auto matches =
+              workers_[w]->ComparePackedGroup(groups[g], &cross_terms);
+          if (matches.ok()) {
+            for (size_t i = 0; i < groups[g].size(); ++i) {
+              labels[begin + i] = (*matches)[i] ? kPairMatch : kPairNonMatch;
+            }
+            return Status::OK();
           }
-        }
-      };
-
-      std::vector<std::thread> pool;
-      pool.reserve(active_groups - 1);
-      for (size_t w = 1; w < active_groups; ++w) {
-        pool.emplace_back([&, w] {
-          MaybePinWorker(config_.pin_cores, w);
-          drain_groups(w);
-        });
-      }
-      drain_groups(0);
-      for (auto& th : pool) th.join();
-
-      if (failed.load()) {
-        size_t best = active_groups;
-        for (size_t w = 0; w < active_groups; ++w) {
-          if (!worker_status[w].ok() &&
-              (best == active_groups || error_group[w] < error_group[best])) {
-            best = w;
-          }
-        }
-        return worker_status[best];
-      }
-    }
-
-    if (metrics_ != nullptr) {
-      obs::Add(metrics_, "smc.batches");
-      obs::Observe(metrics_, "smc.batch_seconds",
-                   batch_timer.ElapsedSeconds());
-    }
-    return labels;
-  }
-
-  if (active <= 1) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const RowPairRequest& req = batch[i];
-      auto m = workers_.front()->CompareRows(req.a_id, req.b_id, *req.a,
-                                             *req.b);
-      if (!m.ok()) {
-        if (!IsFaultClass(m.status())) return m.status();
-        quarantine(&labels, i);
-        HPRL_RETURN_IF_ERROR(RestartWorker(0));
-        continue;
-      }
-      labels[i] = *m ? kPairMatch : kPairNonMatch;
-    }
+          if (!IsFaultClass(matches.status())) return matches.status();
+          // Quarantine granularity is the group here: one packed exchange
+          // is indivisible, so a crash mid-group takes its whole group out.
+          for (size_t i = 0; i < groups[g].size(); ++i) quarantine(begin + i);
+          return RestartWorker(w);
+        }));
   } else {
-    std::atomic<size_t> cursor{0};
-    std::atomic<bool> failed{false};
-    std::vector<Status> worker_status(active, Status::OK());
-    std::vector<size_t> error_index(active, batch.size());
-
-    auto drain = [&](size_t w) {
-      while (!failed.load(std::memory_order_relaxed)) {
-        const size_t begin =
-            cursor.fetch_add(kStealChunk, std::memory_order_relaxed);
-        if (begin >= batch.size()) break;
-        const size_t end = std::min(begin + kStealChunk, batch.size());
-        for (size_t i = begin; i < end; ++i) {
-          const RowPairRequest& req = batch[i];
-          // No cached comparator pointer: a restart swaps the worker slot.
-          auto m = workers_[w]->CompareRows(req.a_id, req.b_id, *req.a,
-                                            *req.b);
-          if (m.ok()) {
-            labels[i] = *m ? kPairMatch : kPairNonMatch;
-            continue;
+    const size_t num_chunks = (batch.size() + kStealChunk - 1) / kStealChunk;
+    HPRL_RETURN_IF_ERROR(StealEach(
+        threads, num_chunks, config_.pin_cores,
+        [&](size_t w, size_t c) -> Status {
+          const size_t end = std::min((c + 1) * kStealChunk, batch.size());
+          for (size_t i = c * kStealChunk; i < end; ++i) {
+            const RowPairRequest& req = batch[i];
+            // No cached comparator pointer: a restart swaps the worker slot.
+            auto m = workers_[w]->CompareRows(req.a_id, req.b_id, *req.a,
+                                              *req.b);
+            if (m.ok()) {
+              labels[i] = *m ? kPairMatch : kPairNonMatch;
+              continue;
+            }
+            if (!IsFaultClass(m.status())) return m.status();
+            quarantine(i);
+            // Healed: the next pair runs on the fresh stack.
+            HPRL_RETURN_IF_ERROR(RestartWorker(w));
           }
-          Status st = m.status();
-          if (IsFaultClass(st)) {
-            quarantine(&labels, i);
-            st = RestartWorker(w);
-            if (st.ok()) continue;  // healed: next pair on the fresh stack
-          }
-          worker_status[w] = st;
-          error_index[w] = i;
-          failed.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(active - 1);
-    for (size_t w = 1; w < active; ++w) {
-      pool.emplace_back([&, w] {
-        MaybePinWorker(config_.pin_cores, w);
-        drain(w);
-      });
-    }
-    drain(0);
-    for (auto& th : pool) th.join();
-
-    if (failed.load()) {
-      // Deterministic error reporting: the smallest-index failing pair wins.
-      size_t best = active;
-      for (size_t w = 0; w < active; ++w) {
-        if (!worker_status[w].ok() &&
-            (best == active || error_index[w] < error_index[best])) {
-          best = w;
-        }
-      }
-      return worker_status[best];
-    }
+          return Status::OK();
+        }));
   }
 
   if (metrics_ != nullptr) {

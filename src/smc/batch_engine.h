@@ -13,6 +13,13 @@
 
 namespace hprl::smc {
 
+/// Randomizers the offline phase prewarms for config.offline_pairs pairs
+/// (config.randomizer_pool_depth when that is 0). The scalar exchange
+/// encrypts up to 3 per attribute per pair; the packed exchange at most one
+/// cross term per attribute plus its group's two packed squares, i.e.
+/// attrs + 2/group_pairs per pair even when no cross term is shared.
+int OfflineRandomizers(const SmcConfig& config, const MatchRule& rule);
+
 /// Batch-parallel driver for the §V-A protocol: N worker comparator stacks
 /// (each a full qp/alice/bob trio with its own in-process bus) that share
 /// ONE published Paillier key pair — generated once at Init, not once per
@@ -59,6 +66,14 @@ class BatchSmcEngine {
 
   /// Labels batch[i] into slot i of the result (kPairMatch / kPairNonMatch /
   /// kPairQuarantined); see class comment for the determinism argument.
+  ///
+  /// Packed path: before the groups run, the workers encrypt Alice's cross
+  /// terms once for each distinct (Alice row id, position in the group) of
+  /// the batch, stealing keys off one cursor, into a table that the groups
+  /// then only read (SecureRecordComparator::ComparePackedGroup). Only the
+  /// two packed squares are encrypted per group. The set of keys depends on
+  /// the batch alone, so costs().encryptions is the same at every thread
+  /// count.
   ///
   /// Worker supervision: when a pair fails with a fault-class status — an
   /// injected crash (Unavailable), or a transient transport fault that

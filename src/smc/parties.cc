@@ -1,5 +1,7 @@
 #include "smc/parties.h"
 
+#include <algorithm>
+
 namespace hprl::smc {
 
 using crypto::BigInt;
@@ -272,11 +274,49 @@ Status DataHolder::FoldAndForward(MessageBus* bus, const BigInt& y,
   return Status::OK();
 }
 
-Status DataHolder::SendAttrsPacked(MessageBus* bus, const std::string& peer,
-                                   const std::vector<BigInt>& xs,
-                                   const crypto::PackingLayout& layout,
-                                   SmcCosts* costs) {
+Result<BigInt> DataHolder::EncryptCrossTerm(
+    const BigInt& x, size_t slot, const crypto::PackingLayout& layout) {
+  // Slot i's cross-term ciphertext arrives pre-shifted, Enc(-2x_i · W_i), so
+  // Bob's exponent is y_i alone rather than y_i · W_i. |2x_i| < 2^slot_bits
+  // by the carry check, so |-2x_i · W_i| < n/2 survives the signed encoding.
+  return pub_.EncryptSigned(BigInt(-2) * x * layout.SlotWeight(slot), *rng_);
+}
+
+Status DataHolder::EncryptCrossTerms(const crypto::PackingLayout& layout,
+                                     PackedCrossTerms* terms,
+                                     SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
+  terms->cts.clear();
+  terms->cts.reserve(terms->xs.size());
+  for (size_t i = 0; i < terms->xs.size(); ++i) {
+    auto ct = EncryptCrossTerm(terms->xs[i], terms->first_slot + i, layout);
+    if (!ct.ok()) return ct.status();
+    costs->encryptions += 1;
+    terms->cts.push_back(std::move(ct).value());
+  }
+  return Status::OK();
+}
+
+Status DataHolder::SendAttrsPacked(
+    MessageBus* bus, const std::string& peer, const std::vector<BigInt>& xs,
+    const crypto::PackingLayout& layout, SmcCosts* costs,
+    const std::vector<const PackedCrossTerms*>& reuse) {
+  if (!have_key_) return Status::FailedPrecondition("no public key yet");
+  // The guard: an entry stands in for its slots only when it was encrypted
+  // for exactly these values at exactly these slots.
+  std::vector<const BigInt*> ready(xs.size(), nullptr);
+  for (const PackedCrossTerms* terms : reuse) {
+    if (terms == nullptr || terms->cts.size() != terms->xs.size() ||
+        terms->first_slot + terms->xs.size() > xs.size() ||
+        !std::equal(terms->xs.begin(), terms->xs.end(),
+                    xs.begin() + static_cast<std::ptrdiff_t>(
+                                     terms->first_slot))) {
+      continue;
+    }
+    for (size_t i = 0; i < terms->cts.size(); ++i) {
+      ready[terms->first_slot + i] = &terms->cts[i];
+    }
+  }
   if (arena_ != nullptr) {
     // Arena path: every BigInt below lives in preallocated arena storage;
     // math, randomness order and wire bytes are identical to the value path.
@@ -298,6 +338,10 @@ Status DataHolder::SendAttrsPacked(MessageBus* bus, const std::string& peer,
     BigInt& m2x = arena_->Next();  // -2x_i · W_i = -2x_i << (slot_bits · i)
     BigInt& ct = arena_->Next();
     for (size_t i = 0; i < xs.size(); ++i) {
+      if (ready[i] != nullptr) {
+        AppendBigInt(*ready[i], &payload);
+        continue;
+      }
       mpz_mul_si(m2x.raw(), xs[i].raw(), -2);
       mpz_mul_2exp(m2x.raw(), m2x.raw(),
                    static_cast<mp_bitcnt_t>(layout.slot_bits) * i);
@@ -319,12 +363,12 @@ Status DataHolder::SendAttrsPacked(MessageBus* bus, const std::string& peer,
   costs->encryptions += 1;
   std::vector<uint8_t> payload;
   AppendBigInt(*c_px2, &payload);
-  // Slot i's cross-term ciphertext arrives pre-shifted, Enc(-2x_i · W_i), so
-  // Bob's exponent is y_i alone rather than y_i · W_i. |2x_i| < 2^slot_bits
-  // by the carry check, so |-2x_i · W_i| < n/2 survives the signed encoding.
   for (size_t i = 0; i < xs.size(); ++i) {
-    auto c_m2x =
-        pub_.EncryptSigned(BigInt(-2) * xs[i] * layout.SlotWeight(i), *rng_);
+    if (ready[i] != nullptr) {
+      AppendBigInt(*ready[i], &payload);
+      continue;
+    }
+    auto c_m2x = EncryptCrossTerm(xs[i], i, layout);
     if (!c_m2x.ok()) return c_m2x.status();
     costs->encryptions += 1;
     AppendBigInt(*c_m2x, &payload);

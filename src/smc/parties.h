@@ -32,6 +32,16 @@ struct ProtocolParams {
   bool crt_decrypt = true;
 };
 
+/// Alice's pre-encrypted cross terms for one pair of a packed exchange:
+/// cts[i] = Enc(-2·xs[i]·W_{first_slot+i}). The values and the first slot
+/// travel with the ciphertexts so that a reuse can be checked against the
+/// group it is copied into (DataHolder::SendAttrsPacked).
+struct PackedCrossTerms {
+  size_t first_slot = 0;
+  std::vector<crypto::BigInt> xs;
+  std::vector<crypto::BigInt> cts;
+};
+
 /// The querying party of §V-A: the only holder of the Paillier private key.
 /// It publishes the public key, and per compared attribute receives Bob's
 /// ciphertext and decides whether the (possibly blinded) distance is within
@@ -135,12 +145,26 @@ class DataHolder {
 
   /// Packed Alice: one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
   /// slot's x² packed into ONE plaintext — plus per-slot Enc(-2·x_i·W_i),
-  /// already shifted into slot i so Bob's fold exponent is just y_i. Cuts
-  /// the 2k scalar encryptions of k SendAttr calls to k + 1. The caller has
-  /// already checked carry safety ((|x|+|y|)² fits a slot) for every slot.
-  Status SendAttrsPacked(MessageBus* bus, const std::string& peer,
-                         const std::vector<crypto::BigInt>& xs,
-                         const crypto::PackingLayout& layout, SmcCosts* costs);
+  /// already shifted into slot i so Bob's fold exponent is just y_i. The
+  /// caller has already checked carry safety ((|x|+|y|)² fits a slot) for
+  /// every slot.
+  ///
+  /// Each slot's cross term is copied from a `reuse` entry that covers it
+  /// when that entry's first slot and every one of its values equal this
+  /// group's; every other slot is encrypted fresh. So k slots cost between
+  /// 1 and k + 1 encryptions, never a ciphertext of a value other than xs.
+  /// The packed Enc(Σ x_i²·W_i) is always fresh.
+  Status SendAttrsPacked(
+      MessageBus* bus, const std::string& peer,
+      const std::vector<crypto::BigInt>& xs,
+      const crypto::PackingLayout& layout, SmcCosts* costs,
+      const std::vector<const PackedCrossTerms*>& reuse = {});
+
+  /// Packed Alice ahead of the exchange: fills terms->cts with
+  /// Enc(-2·x·W_slot) for terms->xs at the slots from terms->first_slot, for
+  /// later groups to copy through SendAttrsPacked's `reuse`.
+  Status EncryptCrossTerms(const crypto::PackingLayout& layout,
+                           PackedCrossTerms* terms, SmcCosts* costs);
 
   /// Packed Bob: folds y_i into the pre-shifted slot-i ciphertext —
   ///   Enc(Σ d_i·W_i) = Enc(Σx_i²W_i) +h Σ_i (Enc(-2x_iW_i) ×h y_i)
@@ -171,6 +195,10 @@ class DataHolder {
   void AttachArena(crypto::BigIntArena* arena) { arena_ = arena; }
 
  private:
+  /// Enc(-2·x·W_slot) on the value path.
+  Result<crypto::BigInt> EncryptCrossTerm(const crypto::BigInt& x, size_t slot,
+                                          const crypto::PackingLayout& layout);
+
   std::string name_;
   ProtocolParams params_;
   std::unique_ptr<crypto::SecureRandom> rng_;

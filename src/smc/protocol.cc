@@ -226,28 +226,113 @@ Result<bool> SecureRecordComparator::CompareRows(int64_t a_id, int64_t b_id,
   return match;
 }
 
-int SecureRecordComparator::PackedGroupPairs() const {
-  if (config_.pack_pairs <= 0 || !config_.reveal_distances ||
-      config_.cache_ciphertexts) {
+int PackedGroupPairs(const SmcConfig& config, const MatchRule& rule) {
+  if (config.pack_pairs <= 0 || !config.reveal_distances ||
+      config.cache_ciphertexts) {
     return 0;
   }
   auto layout =
-      crypto::PackingLayout::Plan(config_.key_bits, config_.pack_slot_bits);
+      crypto::PackingLayout::Plan(config.key_bits, config.pack_slot_bits);
   if (!layout.ok()) return 0;
   int active = 0;
-  for (const AttrRule& rule : rule_.attrs) {
-    if (rule.type == AttrType::kText) return 0;
-    if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) continue;
+  for (const AttrRule& attr : rule.attrs) {
+    if (attr.type == AttrType::kText) return 0;
+    if (attr.type == AttrType::kCategorical && attr.theta >= 1.0) continue;
     ++active;
   }
   if (active == 0) return 0;
   const int per_plaintext = layout->num_slots / active;
   if (per_plaintext < 1) return 0;
-  return std::min(config_.pack_pairs, per_plaintext);
+  return std::min(config.pack_pairs, per_plaintext);
+}
+
+int SecureRecordComparator::PackedGroupPairs() const {
+  return smc::PackedGroupPairs(config_, rule_);
+}
+
+Status SecureRecordComparator::PlanPackedGroup(
+    const std::vector<RowPairRequest>& pairs,
+    const crypto::PackingLayout& layout, PackedPlan* plan) const {
+  crypto::BigInt mag, sq;  // carry-check scratch, reused across the group
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    std::vector<crypto::BigInt> pxs, pys, pthr;
+    bool packable = true;
+    for (const AttrRule& rule : rule_.attrs) {
+      if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) continue;
+      auto x = EncodeAttr((*pairs[p].a)[rule.attr_index], rule);
+      if (!x.ok()) return x.status();
+      auto y = EncodeAttr((*pairs[p].b)[rule.attr_index], rule);
+      if (!y.ok()) return y.status();
+      // Carry safety: |x - y|² <= (|x| + |y|)² must stay inside one slot.
+      // sq = (|x| + |y|)² is never negative, so SlotHolds reduces to the
+      // allocation-free bit-length bound (BitLength ≤ slot_bits ⟺ v < 2^s).
+      mpz_abs(mag.raw(), x->raw());
+      mpz_abs(sq.raw(), y->raw());
+      mpz_add(mag.raw(), mag.raw(), sq.raw());
+      mpz_mul(sq.raw(), mag.raw(), mag.raw());
+      if (static_cast<int>(sq.BitLength()) > layout.slot_bits) {
+        packable = false;
+        break;
+      }
+      pxs.push_back(std::move(x).value());
+      pys.push_back(std::move(y).value());
+      pthr.push_back(AttrThreshold(rule));
+    }
+    if (!packable) {
+      plan->fallback_idx.push_back(p);
+      continue;
+    }
+    plan->packed_idx.push_back(p);
+    plan->slots_per_pair = pxs.size();
+    for (size_t i = 0; i < pxs.size(); ++i) {
+      plan->xs.push_back(std::move(pxs[i]));
+      plan->ys.push_back(std::move(pys[i]));
+      plan->thresholds.push_back(std::move(pthr[i]));
+    }
+  }
+  return Status::OK();
+}
+
+Status SecureRecordComparator::PlanCrossTerms(
+    const std::vector<RowPairRequest>& pairs, CrossTermTable* table) const {
+  auto layout =
+      crypto::PackingLayout::Plan(config_.key_bits, config_.pack_slot_bits);
+  if (!layout.ok()) return layout.status();
+  PackedPlan plan;
+  HPRL_RETURN_IF_ERROR(PlanPackedGroup(pairs, *layout, &plan));
+  for (size_t g = 0; g < plan.packed_idx.size(); ++g) {
+    const int64_t a_id = pairs[plan.packed_idx[g]].a_id;
+    if (a_id < 0) continue;  // no row identity: nothing to share
+    auto [it, inserted] = table->try_emplace({a_id, g});
+    if (!inserted) continue;
+    PackedCrossTerms& terms = it->second;
+    terms.first_slot = g * plan.slots_per_pair;
+    terms.xs.assign(
+        plan.xs.begin() + static_cast<std::ptrdiff_t>(terms.first_slot),
+        plan.xs.begin() + static_cast<std::ptrdiff_t>(terms.first_slot +
+                                                      plan.slots_per_pair));
+  }
+  return Status::OK();
+}
+
+Status SecureRecordComparator::EncryptCrossTerms(PackedCrossTerms* terms) {
+  if (!initialized_) {
+    return Status::FailedPrecondition("call Init() before comparing");
+  }
+  auto layout =
+      crypto::PackingLayout::Plan(config_.key_bits, config_.pack_slot_bits);
+  if (!layout.ok()) return layout.status();
+  WallTimer timer;
+  HPRL_RETURN_IF_ERROR(alice_.EncryptCrossTerms(*layout, terms, &costs_));
+  if (metrics_ != nullptr) {
+    obs::Observe(metrics_, "smc.cross_term_seconds", timer.ElapsedSeconds());
+  }
+  return Status::OK();
 }
 
 Result<std::vector<bool>> SecureRecordComparator::ComparePackedGroup(
-    const std::vector<RowPairRequest>& pairs) {
+    const std::vector<RowPairRequest>& pairs,
+    const CrossTermTable* cross_terms) {
   if (!initialized_) {
     return Status::FailedPrecondition("call Init() before comparing");
   }
@@ -266,57 +351,24 @@ Result<std::vector<bool>> SecureRecordComparator::ComparePackedGroup(
   if (!layout.ok()) return layout.status();
 
   WallTimer compare_timer;
-  // Encode every pair and split the group into packable pairs (every slot
-  // passes the carry-safety check) and scalar fallbacks. Slot order is
-  // pair-major, attribute-minor, so the unpack on the querying side walks
-  // the same sequence.
-  std::vector<crypto::BigInt> xs, ys, thresholds;
-  std::vector<size_t> packed_idx;    // input index per packed pair
-  std::vector<size_t> slots_of;      // slots per packed pair
-  std::vector<size_t> fallback_idx;  // pairs compared through the scalar path
-  crypto::BigInt mag, sq;  // carry-check scratch, reused across the group
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    std::vector<crypto::BigInt> pxs, pys, pthr;
-    bool packable = true;
-    for (const AttrRule& rule : rule_.attrs) {
-      if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) continue;
-      auto x = EncodeAttr((*pairs[p].a)[rule.attr_index], rule);
-      if (!x.ok()) return x.status();
-      auto y = EncodeAttr((*pairs[p].b)[rule.attr_index], rule);
-      if (!y.ok()) return y.status();
-      // Carry safety: |x - y|² <= (|x| + |y|)² must stay inside one slot.
-      // sq = (|x| + |y|)² is never negative, so SlotHolds reduces to the
-      // allocation-free bit-length bound (BitLength ≤ slot_bits ⟺ v < 2^s).
-      mpz_abs(mag.raw(), x->raw());
-      mpz_abs(sq.raw(), y->raw());
-      mpz_add(mag.raw(), mag.raw(), sq.raw());
-      mpz_mul(sq.raw(), mag.raw(), mag.raw());
-      if (static_cast<int>(sq.BitLength()) > layout->slot_bits) {
-        packable = false;
-        break;
-      }
-      pxs.push_back(std::move(x).value());
-      pys.push_back(std::move(y).value());
-      pthr.push_back(AttrThreshold(rule));
-    }
-    if (!packable) {
-      fallback_idx.push_back(p);
-      continue;
-    }
-    packed_idx.push_back(p);
-    slots_of.push_back(pxs.size());
-    for (size_t i = 0; i < pxs.size(); ++i) {
-      xs.push_back(std::move(pxs[i]));
-      ys.push_back(std::move(pys[i]));
-      thresholds.push_back(std::move(pthr[i]));
-    }
-  }
+  PackedPlan plan;
+  HPRL_RETURN_IF_ERROR(PlanPackedGroup(pairs, *layout, &plan));
+  const std::vector<size_t>& packed_idx = plan.packed_idx;
 
   if (!packed_idx.empty()) {
+    // The batch's pre-encrypted cross terms for these pairs; SendAttrsPacked
+    // checks each against the values it is about to send.
+    std::vector<const PackedCrossTerms*> reuse;
+    if (cross_terms != nullptr) {
+      for (size_t g = 0; g < packed_idx.size(); ++g) {
+        auto it = cross_terms->find({pairs[packed_idx[g]].a_id, g});
+        if (it != cross_terms->end()) reuse.push_back(&it->second);
+      }
+    }
     const int64_t ctx_a = pairs[packed_idx.front()].a_id;
     const int64_t ctx_b = pairs[packed_idx.front()].b_id;
     costs_.invocations += static_cast<int64_t>(packed_idx.size());
-    costs_.attr_comparisons += static_cast<int64_t>(xs.size());
+    costs_.attr_comparisons += static_cast<int64_t>(plan.xs.size());
     costs_.packed_exchanges += 1;
     costs_.packed_pairs += static_cast<int64_t>(packed_idx.size());
     auto within =
@@ -325,10 +377,10 @@ Result<std::vector<bool>> SecureRecordComparator::ComparePackedGroup(
           // previous (possibly faulted) attempt outlives the exchange.
           if (arena_ != nullptr) arena_->Reset();
           HPRL_RETURN_IF_ERROR(alice_.SendAttrsPacked(
-              bus_.get(), bob_.name(), xs, *layout, &costs_));
-          HPRL_RETURN_IF_ERROR(
-              bob_.FoldAndForwardPacked(bus_.get(), ys, *layout, &costs_));
-          return qp_.DecideAttrsPacked(bus_.get(), thresholds, *layout,
+              bus_.get(), bob_.name(), plan.xs, *layout, &costs_, reuse));
+          HPRL_RETURN_IF_ERROR(bob_.FoldAndForwardPacked(bus_.get(), plan.ys,
+                                                         *layout, &costs_));
+          return qp_.DecideAttrsPacked(bus_.get(), plan.thresholds, *layout,
                                        &costs_);
         });
     if (!within.ok()) return within.status();
@@ -339,7 +391,7 @@ Result<std::vector<bool>> SecureRecordComparator::ComparePackedGroup(
     size_t slot = 0;
     for (size_t g = 0; g < packed_idx.size(); ++g) {
       bool match = true;
-      for (size_t i = 0; i < slots_of[g]; ++i, ++slot) {
+      for (size_t i = 0; i < plan.slots_per_pair; ++i, ++slot) {
         match = match && (*within)[slot];
       }
       results[packed_idx[g]] = match;
@@ -358,14 +410,14 @@ Result<std::vector<bool>> SecureRecordComparator::ComparePackedGroup(
     if (metrics_ != nullptr) {
       obs::Add(metrics_, "smc.rounds", 2);
       obs::Add(metrics_, "smc.attr_comparisons",
-               static_cast<int64_t>(xs.size()));
+               static_cast<int64_t>(plan.xs.size()));
       obs::Add(metrics_, "smc.packed_groups");
       obs::Observe(metrics_, "smc.compare_seconds",
                    compare_timer.ElapsedSeconds());
     }
   }
 
-  for (size_t idx : fallback_idx) {
+  for (size_t idx : plan.fallback_idx) {
     auto m = CompareRows(pairs[idx].a_id, pairs[idx].b_id, *pairs[idx].a,
                          *pairs[idx].b);
     if (!m.ok()) return m.status();

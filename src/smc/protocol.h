@@ -82,10 +82,14 @@ struct SmcConfig {
   /// Plaintext packing (the packed SMC fast path): > 0 lets the batch
   /// engine group up to this many pairs into ONE packed exchange — all the
   /// pairs' per-attribute distances land in disjoint bit-slots of a single
-  /// Paillier plaintext, so one Encrypt/Add/Decrypt replaces k of them.
-  /// Requires reveal_distances (the packed plaintext IS the distances) and
-  /// is ignored with ciphertext caching on (a packed exchange is unique to
-  /// its group). 0 (the default) keeps the scalar §V-A exchange everywhere.
+  /// Paillier plaintext, so one decryption serves the whole group and each
+  /// side encrypts one packed square (Alice Σx²·W, Bob Σy²·W) per group.
+  /// Alice's per-slot cross terms are encrypted once per batch for each
+  /// (Alice row, position in the group) and shared by the groups that
+  /// repeat it (BatchSmcEngine::CompareBatch). Requires reveal_distances
+  /// (the packed plaintext IS the distances) and is ignored with ciphertext
+  /// caching on (a packed exchange is unique to its group). 0 (the default)
+  /// keeps the scalar §V-A exchange everywhere.
   /// Labels are bit-identical either way — both paths compute the exact
   /// (x-y)² per attribute.
   int pack_pairs = 0;
@@ -105,8 +109,9 @@ struct SmcConfig {
   std::string material_dir;
 
   /// Record pairs the dedicated offline phase provisions randomizers for
-  /// (roughly 3 encryptions per pair per attribute are prewarmed). 0 keeps
-  /// the background filler as the only producer.
+  /// (smc::OfflineRandomizers: 3 per attribute per pair on the scalar
+  /// exchange, about one per attribute on the packed one). 0 keeps the
+  /// background filler as the only producer.
   int offline_pairs = 0;
 
   /// Routes the packed exchange's BigInt scratch through a per-comparator
@@ -123,6 +128,19 @@ struct SmcConfig {
   /// Best-effort: restricted cpusets leave threads unpinned. Off by default.
   bool pin_cores = false;
 };
+
+/// Alice's cross terms for one batch of packed groups, keyed by (Alice row
+/// id, position of the pair among its group's packed pairs). The position
+/// fixes the slots, so one entry serves every group that holds the same
+/// row at the same position. BatchSmcEngine fills it before the batch's
+/// groups run and only reads it while they do.
+using CrossTermTable = std::map<std::pair<int64_t, size_t>, PackedCrossTerms>;
+
+/// Pairs one packed exchange can carry under `config` and `rule` (active
+/// attributes per pair vs slots per plaintext); 0 when the packed path is
+/// unavailable (packing off, blinded comparisons, ciphertext caching, text
+/// attributes, or a modulus too small for one slot group).
+int PackedGroupPairs(const SmcConfig& config, const MatchRule& rule);
 
 /// Drives the paper's §V-A secure record comparison among the three party
 /// objects (smc/parties.h: data holders "alice" and "bob", querying party
@@ -169,12 +187,9 @@ class SecureRecordComparator {
   Result<bool> CompareRows(int64_t a_id, int64_t b_id, const Record& a,
                            const Record& b);
 
-  /// Pairs one packed exchange can carry under this config and rule
-  /// (active attributes per pair vs slots per plaintext); 0 when the packed
-  /// path is unavailable (packing off, blinded comparisons, ciphertext
-  /// caching, text attributes, or a modulus too small for one slot group).
-  /// Depends only on the config and rule, so every worker of a batch engine
-  /// plans identical groups regardless of thread count.
+  /// smc::PackedGroupPairs for this comparator's config and rule. Depends
+  /// only on those, so every worker of a batch engine plans identical
+  /// groups regardless of thread count.
   int PackedGroupPairs() const;
 
   /// Runs the packed variant of the §V-A exchange on up to
@@ -185,8 +200,26 @@ class SecureRecordComparator {
   /// scalar path instead (same labels, see SmcConfig::pack_pairs). Returns
   /// per-pair match flags in input order. Transient transport faults heal
   /// through the same retry layer as the scalar exchange.
+  ///
+  /// With `cross_terms`, Alice copies each packed pair's cross terms from
+  /// its (a_id, position) entry instead of encrypting them, whenever the
+  /// entry holds this pair's values; a retry copies them again rather than
+  /// re-encrypting. Labels are the same with or without the table.
   Result<std::vector<bool>> ComparePackedGroup(
-      const std::vector<RowPairRequest>& pairs);
+      const std::vector<RowPairRequest>& pairs,
+      const CrossTermTable* cross_terms = nullptr);
+
+  /// Adds to `table` an entry, with its values but no ciphertexts yet, for
+  /// every pair of the packed group `pairs` that packs, has an a_id >= 0
+  /// and whose (a_id, position) key is not in `table` yet. Planning the
+  /// batch's groups in order makes the first occurrence of a key own it.
+  Status PlanCrossTerms(const std::vector<RowPairRequest>& pairs,
+                        CrossTermTable* table) const;
+
+  /// Alice encrypts one planned entry's cross terms (DataHolder::
+  /// EncryptCrossTerms), counted in this comparator's costs() and timed in
+  /// the smc.cross_term_seconds histogram.
+  Status EncryptCrossTerms(PackedCrossTerms* terms);
 
   /// Secure squared distance on raw scalars (test/benchmark entry point):
   /// returns the exact (x - y)^2 as seen by the querying party. Requires
@@ -212,6 +245,22 @@ class SecureRecordComparator {
   Result<crypto::BigInt> EncodeAttr(const Value& v, const AttrRule& rule) const;
   /// Scaled integer threshold for attribute `rule` (compare vs (x-y)^2).
   crypto::BigInt AttrThreshold(const AttrRule& rule) const;
+
+  /// A packed group split into the pairs that pack and the scalar
+  /// fallbacks. Slot order is pair-major, attribute-minor: packed pair g
+  /// holds slots [g·slots_per_pair, (g+1)·slots_per_pair).
+  struct PackedPlan {
+    std::vector<crypto::BigInt> xs, ys, thresholds;
+    std::vector<size_t> packed_idx;    // input index per packed pair
+    std::vector<size_t> fallback_idx;  // pairs compared through the scalar path
+    size_t slots_per_pair = 0;
+  };
+
+  /// Encodes every pair of `pairs` and applies the per-slot carry-safety
+  /// check ((|x| + |y|)² fits a slot of `layout`).
+  Status PlanPackedGroup(const std::vector<RowPairRequest>& pairs,
+                         const crypto::PackingLayout& layout,
+                         PackedPlan* plan) const;
 
   /// Retries `exchange` after transient transport faults (see
   /// SmcConfig::max_retries), purging the bus and re-announcing the pair

@@ -330,5 +330,44 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   EXPECT_TRUE(healed.material_warm());
 }
 
+// The offline phase prewarms what the configured exchange will consume:
+// 3 randomizers per attribute per pair on the scalar path, but only one
+// cross term per attribute plus the group's two packed squares on the
+// packed path. The cold engine saves exactly that many.
+TEST(MaterialEngineTest, PrewarmSizedFromConfiguredPath) {
+  const Workload& w = SmallWorkload();
+  ASSERT_EQ(w.rule.attrs.size(), 3u);
+
+  smc::SmcConfig scalar = MaterialSmcConfig("");
+  EXPECT_EQ(smc::OfflineRandomizers(scalar, w.rule), 8 * 3 * 3);
+  scalar.offline_pairs = 0;
+  EXPECT_EQ(smc::OfflineRandomizers(scalar, w.rule),
+            scalar.randomizer_pool_depth);
+
+  // 254 usable bits / 40-bit slots = 6 slots: 2 pairs of 3 attributes per
+  // group, so 8 pairs take 4 groups of 3·2 + 2 encryptions each.
+  const std::string dir = MakeTempDir();
+  smc::SmcConfig packed = MaterialSmcConfig(dir);
+  packed.pack_pairs = 4;
+  packed.pack_slot_bits = 40;
+  ASSERT_EQ(smc::PackedGroupPairs(packed, w.rule), 2);
+  EXPECT_EQ(smc::OfflineRandomizers(packed, w.rule), 4 * (3 * 2 + 2));
+  packed.offline_pairs = 7;  // a partial group still gets its squares
+  EXPECT_EQ(smc::OfflineRandomizers(packed, w.rule), 7 * 3 + 4 * 2);
+  packed.offline_pairs = 8;
+
+  smc::BatchSmcEngine cold(packed, w.rule, 2);
+  ASSERT_TRUE(cold.Init().ok());
+  ASSERT_FALSE(cold.material_warm());
+  MaterialStore store(dir);
+  const BigInt& n = cold.public_key().n();
+  auto saved = store.Load(KeyFingerprint(n),
+                          static_cast<uint32_t>(n.BitLength()),
+                          /*slot_bits=*/40);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(saved->randomizers.size(),
+            static_cast<size_t>(smc::OfflineRandomizers(packed, w.rule)));
+}
+
 }  // namespace
 }  // namespace hprl::crypto

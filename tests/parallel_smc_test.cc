@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -227,11 +228,143 @@ TEST(PackedSmcTest, PackedLabelsBitIdenticalToScalar) {
   }
 }
 
+// Pairs in the selection heuristic's order: `per_row` Bob rows for each of
+// `rows` Alice rows, so consecutive packed groups repeat Alice rows.
+std::vector<RowPairRequest> MakeRowOrderedBatch(const Workload& w,
+                                                int64_t rows,
+                                                int64_t per_row) {
+  std::vector<RowPairRequest> batch;
+  const Table& r = w.data.split.d1;
+  const Table& s = w.data.split.d2;
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < per_row; ++j) {
+      batch.push_back({i, j, &r.row(i), &s.row(j)});
+    }
+  }
+  return batch;
+}
+
+int ActiveAttrs(const MatchRule& rule) {
+  int active = 0;
+  for (const AttrRule& attr : rule.attrs) {
+    if (attr.type == AttrType::kCategorical && attr.theta >= 1.0) continue;
+    ++active;
+  }
+  return active;
+}
+
+// Alice encrypts each cross term once per batch: the packed engine's
+// encryption count is the same at every thread count and arena setting, and
+// equals the closed form — one cross term per active attribute for each
+// distinct (Alice row, position in the group), plus the two packed squares
+// of every group (no pair falls back to the scalar exchange here). Labels
+// stay those of the scalar exchange and of the plaintext rule.
+TEST(PackedSmcTest, CrossTermsEncryptedOncePerBatchAtEveryThreadCount) {
+  const Workload& w = SmallWorkload();
+  // 9 pairs per Alice row: row boundaries fall inside groups, so each row
+  // covers every position.
+  const auto batch = MakeRowOrderedBatch(w, 5, 9);
+
+  const smc::SmcConfig cfg = PackedSmcConfig(4);
+  const size_t group = static_cast<size_t>(smc::PackedGroupPairs(cfg, w.rule));
+  ASSERT_GE(group, 2u);
+  std::set<std::pair<int64_t, size_t>> keys;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    keys.insert({batch[i].a_id, i % group});
+  }
+  const int64_t groups =
+      static_cast<int64_t>((batch.size() + group - 1) / group);
+  const int64_t expected =
+      ActiveAttrs(w.rule) * static_cast<int64_t>(keys.size()) + 2 * groups;
+  // Far fewer than fresh cross terms for every pair would cost.
+  ASSERT_LT(expected, ActiveAttrs(w.rule) * static_cast<int64_t>(batch.size()));
+
+  smc::BatchSmcEngine scalar(TestSmcConfig(), w.rule, 2);
+  ASSERT_TRUE(scalar.Init().ok());
+  auto scalar_labels = scalar.CompareBatch(batch);
+  ASSERT_TRUE(scalar_labels.ok());
+
+  for (bool arena : {true, false}) {
+    for (int threads : {1, 2, 3, 4}) {
+      smc::SmcConfig run_cfg = cfg;
+      run_cfg.use_arena = arena;
+      smc::BatchSmcEngine engine(run_cfg, w.rule, threads);
+      ASSERT_TRUE(engine.Init().ok());
+      auto labels = engine.CompareBatch(batch);
+      ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+      const smc::SmcCosts& c = engine.costs();
+      EXPECT_EQ(c.packed_pairs, static_cast<int64_t>(batch.size()))
+          << "arena=" << arena << " threads=" << threads;
+      EXPECT_EQ(c.packed_exchanges, groups)
+          << "arena=" << arena << " threads=" << threads;
+      EXPECT_EQ(c.encryptions, expected)
+          << "arena=" << arena << " threads=" << threads;
+      EXPECT_EQ(*labels, *scalar_labels)
+          << "arena=" << arena << " threads=" << threads;
+    }
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ((*scalar_labels)[i] != 0,
+              RecordsMatch(*batch[i].a, *batch[i].b, w.rule))
+        << i;
+  }
+}
+
+// Two requests that share an a_id but carry different records: the table
+// entry for (a_id, position) holds the first record's values, so the second
+// record's pair must not reuse it. Copying it would fold the wrong x into
+// the distance; the guard encrypts that pair's cross terms fresh instead.
+TEST(PackedSmcTest, StaleCrossTermIsNeverReused) {
+  const Workload& w = SmallWorkload();
+  const Table& r = w.data.split.d1;
+  const Table& s = w.data.split.d2;
+  const Record& first = r.row(0);
+  const Record& second = r.row(1);
+  ASSERT_FALSE(RecordsMatch(first, second, w.rule));
+
+  const smc::SmcConfig cfg = PackedSmcConfig(4);
+  ASSERT_EQ(smc::PackedGroupPairs(cfg, w.rule), 2);
+  // Group 0 plans (7, 0) and (7, 1) from `first`; group 1 holds `second` at
+  // position 0 (stale entry) and `first` at position 1 (valid entry).
+  const std::vector<RowPairRequest> batch = {
+      {7, 0, &first, &s.row(0)},
+      {7, 1, &first, &s.row(1)},
+      {7, 2, &second, &second},
+      {7, 3, &first, &first},
+  };
+  const int64_t active = ActiveAttrs(w.rule);
+  // Two planned entries, one fresh pair, two packed squares per group.
+  const int64_t expected = active * 2 + active + 2 * 2;
+
+  for (int threads : {1, 2}) {
+    smc::BatchSmcEngine engine(cfg, w.rule, threads);
+    ASSERT_TRUE(engine.Init().ok());
+    auto labels = engine.CompareBatch(batch);
+    ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ((*labels)[i] != 0,
+                RecordsMatch(*batch[i].a, *batch[i].b, w.rule))
+          << "pair " << i << " threads=" << threads;
+    }
+    EXPECT_EQ((*labels)[2], kPairMatch) << "threads=" << threads;
+    EXPECT_EQ((*labels)[3], kPairMatch) << "threads=" << threads;
+    EXPECT_EQ(engine.costs().encryptions, expected) << "threads=" << threads;
+  }
+}
+
 // Same fault schedule + same seed => the packed engine is deterministic
-// across thread counts (quarantine labels included).
+// across thread counts (quarantine labels included), every pair it does
+// label gets the fault-free label, and a retried exchange copies its cross
+// terms from the batch table again: a retry encrypts at most the two packed
+// squares anew, never the pairs' cross terms.
 TEST(PackedSmcTest, PackedDeterministicUnderFaults) {
   const Workload& w = SmallWorkload();
   const auto batch = MakeBatch(w, 40);
+
+  smc::BatchSmcEngine clean(PackedSmcConfig(4), w.rule, 2);
+  ASSERT_TRUE(clean.Init().ok());
+  auto clean_labels = clean.CompareBatch(batch);
+  ASSERT_TRUE(clean_labels.ok()) << clean_labels.status().ToString();
 
   smc::SmcConfig cfg = PackedSmcConfig(4);
   cfg.fault_plan.seed = 47;
@@ -244,6 +377,18 @@ TEST(PackedSmcTest, PackedDeterministicUnderFaults) {
     ASSERT_TRUE(engine.Init().ok());
     auto labels = engine.CompareBatch(batch);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+    int labeled = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if ((*labels)[i] == kPairQuarantined) continue;
+      ++labeled;
+      EXPECT_EQ((*labels)[i], (*clean_labels)[i])
+          << "pair " << i << " threads=" << threads;
+    }
+    EXPECT_GT(labeled, 0) << "threads=" << threads;
+    const smc::SmcCosts& c = engine.costs();
+    EXPECT_GT(c.retries, 0) << "threads=" << threads;
+    EXPECT_LE(c.encryptions - clean.costs().encryptions, 2 * c.retries)
+        << "threads=" << threads;
     by_threads.push_back(std::move(labels).value());
   }
   EXPECT_EQ(by_threads[0], by_threads[1]);
