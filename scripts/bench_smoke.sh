@@ -23,15 +23,21 @@
 #     40 blind bits (ratio ceiling: 2x)
 #   - cross-term reuse: Paillier encryptions per packed pair on a batch whose
 #     pairs share Alice rows (ceiling: 2.0; 5 + 2/3 without reuse)
+#   - tcp exchange: the loopback run's querying-party decryptions vs an
+#     in-process scalar run of the same spec (must be exactly 1.0: the
+#     daemon stops at each pair's first failing attribute) and its Paillier
+#     encryptions per SMC pair (ceiling: 6.8; 15 when every pair encrypted
+#     every attribute afresh)
 #
 #   scripts/bench_smoke.sh [build-dir]           # run + write BENCH_hotpath.json
 #   scripts/bench_smoke.sh --check [build-dir]   # run, compare against the
 #       committed BENCH_hotpath.json and fail if any recorded speedup drops
 #       below 80% of its committed value, if the async-datapath overhead
 #       ratio exceeds 2x, if the arena allocation reduction falls below
-#       5x, if a negative scalar costs over 2x a positive one, or if a
-#       packed pair costs over 2 encryptions; the committed file is not
-#       rewritten
+#       5x, if a negative scalar costs over 2x a positive one, if a
+#       packed pair costs over 2 encryptions, if the TCP exchange decrypts
+#       more or less than the in-process one, or if it spends over 6.8
+#       encryptions per SMC pair; the committed file is not rewritten
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,6 +81,11 @@ for rep in 1 2 3; do
     --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --transport tcp \
     --metrics_out "$TMP/tcp_$rep.json" >/dev/null
 done
+
+echo "== tcp exchange: the same spec in-process, scalar exchange =="
+"./$BUILD/tools/hprl_link" --spec "$TMP/tcpdata/linkage.spec" \
+  --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --smc_pack 0 \
+  --metrics_out "$TMP/inproc_scalar.json" >/dev/null
 
 echo "== pipelined rpc: ctl round trips, per-pair vs batch 32 =="
 "./$BUILD/tools/hprl_link" --spec "$TMP/tcpdata/linkage.spec" \
@@ -316,6 +327,29 @@ report["cross_term_reuse"] = {
     "enc_per_packed_pair": reuse["enc_per_packed_pair"],
 }
 
+# Streamed TCP exchange: the querying daemon stops at each pair's first
+# failing attribute, so it decrypts exactly what the in-process scalar
+# comparator decrypts on the same spec (ratio 1.0, guarded exactly), and
+# Alice encrypts each (row, position, value) once per pairb batch while Bob
+# still encrypts every attribute (ceiling 6.8 below). Counts do not depend
+# on timing, so the first loopback rep serves.
+with open(os.path.join(tmp, "tcp_1.json")) as f:
+    tcp_run = json.load(f)
+with open(os.path.join(tmp, "inproc_scalar.json")) as f:
+    inproc_run = json.load(f)
+tcp_pairs = tcp_run["metrics"]["smc_processed"]
+tcp_dec = tcp_run["gauges"]["net.party.decryptions"]
+tcp_enc = tcp_run["gauges"]["net.party.encryptions"]
+inproc_dec = inproc_run["counters"]["paillier.decryptions"]
+report["tcp_exchange"] = {
+    "smc_pairs": tcp_pairs,
+    "tcp_decryptions": tcp_dec,
+    "inproc_decryptions": inproc_dec,
+    "tcp_over_inproc_decryptions": tcp_dec / inproc_dec,
+    "tcp_encryptions": tcp_enc,
+    "enc_per_smc_pair": tcp_enc / tcp_pairs,
+}
+
 if check:
     with open("BENCH_hotpath.json") as f:
         committed = json.load(f)
@@ -371,6 +405,21 @@ if check:
     else:
         print(f"check OK cross_term_reuse.enc_per_packed_pair: "
               f"{enc_per_pair:.2f} (ceiling 2.0)")
+    dec_ratio = report["tcp_exchange"]["tcp_over_inproc_decryptions"]
+    if dec_ratio != 1.0:
+        failures.append(
+            f"tcp_exchange.tcp_over_inproc_decryptions: measured "
+            f"{dec_ratio:.4f} != 1.0")
+    else:
+        print("check OK tcp_exchange.tcp_over_inproc_decryptions: 1.0")
+    tcp_enc_per_pair = report["tcp_exchange"]["enc_per_smc_pair"]
+    if tcp_enc_per_pair > 6.8:
+        failures.append(
+            f"tcp_exchange.enc_per_smc_pair: measured "
+            f"{tcp_enc_per_pair:.2f} > 6.8 ceiling")
+    else:
+        print(f"check OK tcp_exchange.enc_per_smc_pair: "
+              f"{tcp_enc_per_pair:.2f} (ceiling 6.8)")
     if failures:
         print("BENCH CHECK FAILED:", *failures, sep="\n  ")
         sys.exit(1)

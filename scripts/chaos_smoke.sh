@@ -39,7 +39,10 @@ next; STUN_ROLE=$((          H % 3   ))  # B: which shard-1 replica stalls
 next; KILL_MS=$((     1000 + H % 700 ))  # B: shard-1 SIGKILL point
 next; RESTART_MS=$((   300 + H % 500 ))  # B: restart delay after the kill
 next; C_KILL_MS=$((   1400 + H % 700 ))  # C: coordinator SIGKILL point
-next; BASE=$((       21000 + H % 18000 ))
+# Port blocks stay below Linux's ephemeral range (32768+): a recent
+# outgoing connection's TIME_WAIT socket on a port would refuse the
+# daemon's listening bind there for a minute.
+next; BASE=$((       21000 + H % 11000 ))
 
 TMP="$(mktemp -d)"
 DAEMONS=()

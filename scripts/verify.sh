@@ -117,7 +117,8 @@ echo "== fleet failover smoke: one replica SIGKILLed mid-drain =="
 # Two manually started shard meshes; bob#1 is SIGKILLed while the drain is
 # in flight. The coordinator must rebalance its work onto shard 0 and still
 # produce bit-identical links with zero quarantined pairs.
-BASE=$((20000 + RANDOM % 20000))
+# Below the ephemeral range (32768+), as in chaos_smoke.sh.
+BASE=$((20000 + RANDOM % 12000))
 FLEET_PIDS=()
 BOB1_PID=""
 for s in 0 1; do

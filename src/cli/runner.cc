@@ -363,6 +363,19 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
                   static_cast<double>(report.wire_bytes_sent));
     obs::SetGauge(metrics, "net.bus_accounted_bytes",
                   static_cast<double>(report.bus_accounted_bytes));
+    // The daemons' summed crypto work: a TCP run's counterpart of the
+    // paillier.* counters the in-process parties stream themselves.
+    const smc::SmcCosts& party = mesh_stats.costs;
+    obs::SetGauge(metrics, "net.party.encryptions",
+                  static_cast<double>(party.encryptions));
+    obs::SetGauge(metrics, "net.party.decryptions",
+                  static_cast<double>(party.decryptions));
+    obs::SetGauge(metrics, "net.party.scalar_muls",
+                  static_cast<double>(party.scalar_muls));
+    obs::SetGauge(metrics, "net.party.homomorphic_adds",
+                  static_cast<double>(party.homomorphic_adds));
+    obs::SetGauge(metrics, "net.party.attr_comparisons",
+                  static_cast<double>(party.attr_comparisons));
   }
 
   if (!options.metrics_out.empty()) {

@@ -725,6 +725,14 @@ Status PartyService::HandlePair(const PairCmd& cmd, uint8_t* label) {
   if (!configured_) {
     return Status::FailedPrecondition("pair before cfg");
   }
+  AliceBatchCts sent;
+  HPRL_RETURN_IF_ERROR(RunPairSide(cmd, &sent, label));
+  if (holder_ == nullptr) return Status::OK();
+  return holder_->ReceiveResult(bus_.get()).status();
+}
+
+Status PartyService::RunPairSide(const PairCmd& cmd, AliceBatchCts* sent,
+                                 uint8_t* label) {
   costs_.invocations += 1;
   if (emulated_latency_micros_ > 0) {
     std::this_thread::sleep_for(
@@ -734,15 +742,20 @@ Status PartyService::HandlePair(const PairCmd& cmd, uint8_t* label) {
       params_.cache_ciphertexts && cmd.a_id >= 0 && cmd.b_id >= 0;
 
   if (opts_.role == opts_.endpoints.alice.name) {
-    // Alice's whole side is pipelined: every alice_ct goes out back-to-back,
-    // then she waits for the verdict.
+    // Every alice_ct goes out back-to-back. Each (row, position, value) is
+    // encrypted once per batch and resent to the batch's later pairs with
+    // that key (rows without an id always encrypt afresh); Bob's fresh
+    // Enc(y²) re-randomizes every ciphertext the querying party decrypts.
     for (const PairAttr& attr : cmd.attrs) {
       int64_t key =
           cache ? (cmd.a_id << 8) | static_cast<int64_t>(attr.pos) : -1;
-      HPRL_RETURN_IF_ERROR(holder_->SendAttr(
-          bus_.get(), opts_.endpoints.bob.name, attr.x, key, &costs_));
+      smc::AttrCiphertexts* reuse =
+          cmd.a_id >= 0 ? &(*sent)[{cmd.a_id, attr.pos, attr.x}] : nullptr;
+      HPRL_RETURN_IF_ERROR(holder_->SendAttr(bus_.get(),
+                                             opts_.endpoints.bob.name, attr.x,
+                                             key, &costs_, reuse));
     }
-    return holder_->ReceiveResult(bus_.get()).status();
+    return Status::OK();
   }
 
   if (opts_.role == opts_.endpoints.bob.name) {
@@ -753,19 +766,25 @@ Status PartyService::HandlePair(const PairCmd& cmd, uint8_t* label) {
                                                    attr.threshold, key,
                                                    &costs_));
     }
-    return holder_->ReceiveResult(bus_.get()).status();
+    return Status::OK();
   }
 
-  // qp: decide every attribute (the holders already committed their sides,
-  // so there is nothing to save by short-circuiting), announce the
-  // conjunction. Labels are identical to the in-process comparator's: each
-  // decision is an exact decryption-and-compare.
-  costs_.attr_comparisons += static_cast<int64_t>(cmd.attrs.size());
+  // qp: decide the attributes in order until the first failing one settles
+  // the conjunction, as the in-process comparator does. The holders have
+  // already committed every attribute, so the pair's remaining bob_ct
+  // frames are consumed and range-checked but never decrypted: that keeps
+  // the next pair's frames aligned. Labels are identical to the in-process
+  // comparator's: each decision is an exact decryption-and-compare.
   bool match = true;
   for (const PairAttr& attr : cmd.attrs) {
+    if (!match) {
+      HPRL_RETURN_IF_ERROR(qp_->SkipAttr(bus_.get()));
+      continue;
+    }
+    costs_.attr_comparisons += 1;
     auto within = qp_->DecideAttr(bus_.get(), attr.threshold, &costs_);
     if (!within.ok()) return within.status();
-    if (!*within) match = false;
+    match = *within;
   }
   HPRL_RETURN_IF_ERROR(qp_->AnnounceResult(bus_.get(), match));
   *label = match ? 1 : 0;
@@ -778,7 +797,11 @@ Status PartyService::HandlePairBatch(const BatchCmd& cmd,
     return Status::FailedPrecondition("pair batch before cfg");
   }
   slots->reserve(cmd.pairs.size());
+  AliceBatchCts sent;
   bool aborted = false;
+  // Pass 1: every pair's side back to back. The querying party decides and
+  // announces each pair as its frames arrive; the holders send or fold
+  // without waiting for the verdict.
   for (const PairCmd& pair : cmd.pairs) {
     // A long batch must not starve the membership plane: answer any queued
     // probes between pairs so a busy shard never reads as a dead one.
@@ -804,12 +827,31 @@ Status PartyService::HandlePairBatch(const BatchCmd& cmd,
       continue;
     }
     uint8_t label = 0;
-    Status st = HandlePair(pair, &label);
+    Status st = RunPairSide(pair, &sent, &label);
     if (st.code() == StatusCode::kUnavailable) return st;  // bus is gone
     slot.code = st.code();
     slot.label = label;
     slots->push_back(slot);
     if (!st.ok()) aborted = true;
+  }
+  if (holder_ == nullptr) return Status::OK();
+  // Pass 2 (holders): collect the verdicts of the pairs this side ran, in
+  // dispatch order. A missing verdict means the querying party stopped
+  // there, so the pairs after it are skipped rather than waited for.
+  bool verdict_missing = false;
+  for (PairSlot& slot : *slots) {
+    if (slot.code != StatusCode::kOk) break;  // pass 1 stopped here
+    if (verdict_missing) {
+      slot.code = StatusCode::kNotFound;  // skipped after an earlier fault
+      continue;
+    }
+    DrainHeartbeats();
+    Status st = holder_->ReceiveResult(bus_.get()).status();
+    if (st.code() == StatusCode::kUnavailable) return st;
+    if (!st.ok()) {
+      slot.code = st.code();
+      verdict_missing = true;
+    }
   }
   return Status::OK();
 }

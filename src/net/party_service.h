@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -110,10 +111,14 @@ struct PartyServiceOptions {
 /// Each kPair command carries every compared attribute of the pair, so
 /// the daemon runs its whole side without waiting on the coordinator:
 /// alice ships all alice_ct frames back-to-back, bob folds them as they
-/// arrive, qp decides each attribute and announces the conjunction. A
-/// transient fault anywhere surfaces as a failed reply; the coordinator
-/// purges the mesh with a kPurge barrier and re-dispatches the attempt,
-/// mirroring the in-process RetryExchange.
+/// arrive, qp decides the attributes in order up to the first failing one
+/// (consuming the rest undecrypted) and announces the conjunction. A
+/// kPairBatch runs as a stream: the holders send or fold every pair of the
+/// batch back to back and collect the per-pair verdicts at the end, and
+/// alice encrypts each (row, position, value) once per batch. A transient
+/// fault anywhere surfaces as a failed reply; the coordinator purges the
+/// mesh with a kPurge barrier and re-dispatches the attempt, mirroring the
+/// in-process RetryExchange.
 ///
 /// Membership: the daemon answers heartbeat probes on "<role>:hb" with its
 /// incarnation number (bumped on every kConfigure) both while idle in the
@@ -178,12 +183,25 @@ class PartyService {
   /// entries (0 falls back to the configured offline_pairs sizing) and
   /// persist the result. No-op on qp, whose offline work is keygen itself.
   Status HandleWarmup(uint32_t randomizers, int64_t* generated);
-  /// Runs this role's side of one pair attempt; fills `label` on qp.
+  /// Alice's per-batch ciphertexts, keyed by (a_id, attribute position,
+  /// value): each entry is encrypted once and resent to every pair of the
+  /// batch that carries the same key.
+  using AliceBatchCts =
+      std::map<std::tuple<int64_t, uint32_t, crypto::BigInt>,
+               smc::AttrCiphertexts>;
+
+  /// Runs this role's side of one pair attempt, verdict included; fills
+  /// `label` on qp.
   Status HandlePair(const PairCmd& cmd, uint8_t* label);
-  /// Runs the pairs of one batch attempt in dispatch order, one slot each.
-  /// The first failing pair aborts the rest of the batch (remaining slots are
-  /// marked skipped) — the three daemons run their batch sides positionally,
-  /// so pressing on after a desynchronizing fault would misalign every later
+  /// This role's side of one pair without waiting for the verdict: alice
+  /// sends (reusing `sent`), bob folds, qp decides and announces (filling
+  /// `label`).
+  Status RunPairSide(const PairCmd& cmd, AliceBatchCts* sent, uint8_t* label);
+  /// Runs the pairs of one batch attempt in dispatch order, one slot each;
+  /// the holders collect the verdicts after their last pair. The first
+  /// failing pair aborts the rest of the batch (remaining slots are marked
+  /// skipped) — the three daemons run their batch sides positionally, so
+  /// pressing on after a desynchronizing fault would misalign every later
   /// pair. Returns Unavailable only when the transport itself died.
   Status HandlePairBatch(const BatchCmd& cmd, std::vector<PairSlot>* slots);
   /// Answers every queued probe on "<role>:hb" without blocking.

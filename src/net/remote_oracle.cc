@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -44,6 +45,21 @@ std::vector<MeshEndpoints> ResolveShards(const RemoteOracleOptions& opts) {
 
 }  // namespace
 
+HolderRandomizers WarmupRandomizers(const smc::SmcConfig& config,
+                                    const MatchRule& rule) {
+  const int64_t pairs = std::max(0, config.offline_pairs);
+  const int64_t attrs =
+      std::max<int64_t>(1, static_cast<int64_t>(rule.attrs.size()));
+  auto clamp = [](int64_t v) {
+    return static_cast<uint32_t>(std::min<int64_t>(
+        v, std::numeric_limits<uint32_t>::max()));
+  };
+  HolderRandomizers out;
+  out.alice = clamp(pairs * attrs * 2);
+  out.bob = clamp(pairs * attrs * (config.reveal_distances ? 1 : 2));
+  return out;
+}
+
 RemoteSmcOracle::RemoteSmcOracle(RemoteOracleOptions opts)
     : opts_(std::move(opts)),
       codec_(opts_.config.fp_scale),
@@ -58,6 +74,7 @@ RemoteSmcOracle::RemoteSmcOracle(RemoteOracleOptions opts)
   }
   shard_batches_done_.assign(shards_.size(), 0);
   shard_pairs_done_.assign(shards_.size(), 0);
+  unflushed_.assign(shards_.size(), false);
 }
 
 std::vector<ShardDisposition> RemoteSmcOracle::ShardDispositions() const {
@@ -288,16 +305,14 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   // almost immediately. Generation scales with offline_pairs, so the
   // deadline is as generous as keygen's.
   if (opts_.config.offline_pairs > 0 && !opts_.config.material_dir.empty()) {
-    const int attrs =
-        std::max<int>(1, static_cast<int>(opts_.rule.attrs.size()));
-    const uint32_t randomizers =
-        static_cast<uint32_t>(opts_.config.offline_pairs) * 3u *
-        static_cast<uint32_t>(attrs);
-    std::vector<uint8_t> warm;
-    AppendU32(randomizers, &warm);
+    const HolderRandomizers want = WarmupRandomizers(opts_.config, opts_.rule);
+    std::vector<uint8_t> warm_alice;
+    std::vector<uint8_t> warm_bob;
+    AppendU32(want.alice, &warm_alice);
+    AppendU32(want.bob, &warm_bob);
     for (int s : shard_ids) {
-      SendCtl(s, shards_[s].alice.name, CtlVerb::kWarmup, warm);
-      SendCtl(s, shards_[s].bob.name, CtlVerb::kWarmup, warm);
+      SendCtl(s, shards_[s].alice.name, CtlVerb::kWarmup, warm_alice);
+      SendCtl(s, shards_[s].bob.name, CtlVerb::kWarmup, warm_bob);
     }
     for (int s : shard_ids) {
       std::map<std::string, CtlResponse> acks;
@@ -572,6 +587,10 @@ Result<bool> RemoteSmcOracle::CompareRows(int64_t a_id, int64_t b_id,
     if (shard < 0) {
       return Status::Unavailable("no usable comparator shard");
     }
+    // Heal exactly like the in-process RetryExchange: flush whatever
+    // half-delivered state an earlier failed attempt (of this pair or any
+    // other) left in the shard's mesh before replaying.
+    if (unflushed_[shard]) HPRL_RETURN_IF_ERROR(PurgeShard(shard));
     for (const std::string& role : ShardRoles(shard)) {
       std::vector<uint8_t> payload;
       AppendU64(pair_index, &payload);
@@ -619,6 +638,7 @@ Result<bool> RemoteSmcOracle::CompareRows(int64_t a_id, int64_t b_id,
       shard_pairs_done_[shard] += 1;
       return label == 1;
     }
+    unflushed_[shard] = true;
     if (attempt_status.code() == StatusCode::kUnavailable) {
       // The shard died under this pair. Retire it and, when another usable
       // shard exists, rebalance the pair there — without burning retry
@@ -639,12 +659,10 @@ Result<bool> RemoteSmcOracle::CompareRows(int64_t a_id, int64_t b_id,
         attempt >= opts_.config.max_retries) {
       return attempt_status;
     }
-    // Heal exactly like the in-process RetryExchange: flush the shard of
-    // half-delivered state, back off, replay the attempt.
+    // Back off and replay; the loop head flushes the shard first.
     attempt += 1;
     retries_ += 1;
     if (metrics_ != nullptr) obs::Add(metrics_, "smc.retries");
-    HPRL_RETURN_IF_ERROR(PurgeShard(shard));
     if (opts_.config.retry_backoff_micros > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(
           static_cast<int64_t>(opts_.config.retry_backoff_micros)
@@ -674,7 +692,15 @@ Status RemoteSmcOracle::PurgeShard(int shard) {
                                  reply.detail);
     }
   }
+  unflushed_[shard] = false;
   return Status::OK();
+}
+
+bool RemoteSmcOracle::UsableShardUnflushed() const {
+  for (int s = 0; s < num_shards(); ++s) {
+    if (sched_.usable(s) && unflushed_[s]) return true;
+  }
+  return false;
 }
 
 Status RemoteSmcOracle::PurgeUsableShards() {
@@ -798,29 +824,37 @@ Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
   }
 
   for (int round = 0; !pending.empty(); ++round) {
-    HPRL_RETURN_IF_ERROR(RunBatchRound(&pending, &labels));
-    if (pending.empty()) break;
-    // Transient leftovers: heal the shards and re-batch them, mirroring the
-    // per-pair retry loop (purge barrier, backoff, replay).
-    retries_ += static_cast<int64_t>(pending.size());
-    if (metrics_ != nullptr) {
-      obs::Add(metrics_, "smc.retries",
-               static_cast<int64_t>(pending.size()));
-    }
-    Status purged = PurgeUsableShards();
-    if (!purged.ok()) {
-      // No shard can even flush: everything still pending is stranded.
-      for (const BatchPair& p : pending) {
-        labels[p.batch_pos] = kPairQuarantined;
-        pairs_quarantined_ += 1;
-        if (metrics_ != nullptr) obs::Add(metrics_, "smc.pairs_quarantined");
+    if (round > 0) {
+      // Transient leftovers: re-batch them after a backoff, mirroring the
+      // per-pair retry loop (purge barrier, backoff, replay).
+      retries_ += static_cast<int64_t>(pending.size());
+      if (metrics_ != nullptr) {
+        obs::Add(metrics_, "smc.retries",
+                 static_cast<int64_t>(pending.size()));
       }
-      break;
+      if (opts_.config.retry_backoff_micros > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(
+            static_cast<int64_t>(opts_.config.retry_backoff_micros)
+            << (round - 1)));
+      }
     }
-    if (opts_.config.retry_backoff_micros > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          static_cast<int64_t>(opts_.config.retry_backoff_micros) << round));
+    // Heal before dispatching: flush what a failed exchange (of the last
+    // round, or of an earlier call) left in the meshes.
+    if (UsableShardUnflushed()) {
+      Status purged = PurgeUsableShards();
+      if (!purged.ok()) {
+        // No shard can even flush: everything still pending is stranded.
+        for (const BatchPair& p : pending) {
+          labels[p.batch_pos] = kPairQuarantined;
+          pairs_quarantined_ += 1;
+          if (metrics_ != nullptr) {
+            obs::Add(metrics_, "smc.pairs_quarantined");
+          }
+        }
+        break;
+      }
     }
+    HPRL_RETURN_IF_ERROR(RunBatchRound(&pending, &labels));
   }
   return labels;
 }
@@ -867,6 +901,7 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
   // them when this was the last usable shard).
   auto retire_shard = [&](int shard) {
     sched_.SetUsable(shard, false);
+    unflushed_[shard] = true;  // its drained batches may have run partway
     std::vector<uint64_t> drained = sched_.Drain(shard);
     const bool somewhere_else = FirstUsableShard() >= 0;
     int64_t drained_pairs = 0;
@@ -986,10 +1021,16 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
   };
 
   // Applies the per-slot accept rule: a pair's label is taken iff the qp
-  // slot AND every data holder's slot report OK. Anything else classifies
+  // slot AND every data holder's slot report OK, and no earlier exchange
+  // on the shard failed since its last purge. Anything else classifies
   // the pair — dead shard: rebalance (quarantine when it was the last);
-  // transient: re-batch; semantic: abort the whole compare.
+  // transient, or run behind a failed exchange: re-batch; semantic: abort
+  // the whole compare.
   auto settle = [&](Outstanding& o) {
+    // A batch behind a failed one may have consumed that batch's leftover
+    // frames positionally: its slots can read OK with a verdict computed
+    // from another pair's ciphertexts.
+    const bool behind_fault = unflushed_[o.shard];
     sched_.Complete(o.batch_id);
     shard_batches_done_[o.shard] += 1;
     std::map<std::string, std::vector<PairSlot>> slots;
@@ -1054,6 +1095,12 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
         }
       }
 
+      if (!pair_status.ok()) unflushed_[o.shard] = true;
+      if (behind_fault && (pair_status.ok() ||
+                           IsTransient(pair_status.code()))) {
+        failed.push_back(std::move(p));  // rerun after the purge, budget kept
+        continue;
+      }
       if (pair_status.ok()) {
         (*labels)[p.batch_pos] = qp_label == 1 ? kPairMatch : kPairNonMatch;
         shard_pairs_done_[o.shard] += 1;
@@ -1153,10 +1200,13 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
       failed.clear();
       break;
     }
-    while (semantic.ok() && !work.empty() && send_batch()) {
+    // Nothing new goes out while a failed exchange's frames await the
+    // purge that ends this round: batches sent now would run behind them.
+    while (semantic.ok() && !UsableShardUnflushed() && !work.empty() &&
+           send_batch()) {
     }
     if (inflight.empty()) {
-      if (!semantic.ok() || work.empty()) break;
+      if (!semantic.ok() || work.empty() || UsableShardUnflushed()) break;
       continue;  // the sweep freed capacity; try filling again
     }
     maybe_probe();
@@ -1209,6 +1259,8 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
 
   StreamMembershipMetrics();
   if (!semantic.ok()) return semantic;
+  // Work held back for the purge joins the next round untouched.
+  for (BatchPair& p : work) failed.push_back(std::move(p));
   *pending = std::move(failed);
   return Status::OK();
 }

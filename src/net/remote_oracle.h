@@ -65,6 +65,19 @@ struct RemoteOracleOptions {
   uint32_t emulated_latency_micros = 0;
 };
 
+/// Randomizers the kWarmup offline phase asks of each holder daemon: what
+/// that role consumes over config.offline_pairs scalar pairs, with the
+/// attribute count smc::OfflineRandomizers uses. Alice encrypts at most
+/// Enc(x²) and Enc(-2x) per attribute per pair (fewer when a batch repeats
+/// her rows); Bob encrypts one Enc(y²) per attribute per pair, plus the
+/// blinding term when distances are blinded. Zero when offline_pairs is 0.
+struct HolderRandomizers {
+  uint32_t alice = 0;
+  uint32_t bob = 0;
+};
+HolderRandomizers WarmupRandomizers(const smc::SmcConfig& config,
+                                    const MatchRule& rule);
+
 /// Mesh-wide traffic and cost totals collected from the daemons at the end
 /// of a run (kStats) plus the coordinator's own buses. Each byte is counted
 /// once, at its sender, so wire_bytes_sent summed over the processes is
@@ -282,11 +295,14 @@ class RemoteSmcOracle : public MatchOracle {
   Status CollectReplies(int shard, CtlVerb verb, uint64_t id, uint32_t attempt,
                         const std::vector<std::string>& roles, int deadline_ms,
                         std::map<std::string, CtlResponse>* out);
-  /// Flushes one shard's mesh between attempts; Unavailable when it cannot.
+  /// Flushes one shard's mesh between attempts and clears its unflushed_
+  /// mark; Unavailable when it cannot.
   Status PurgeShard(int shard);
   /// Flushes every usable shard, retiring shards whose purge fails.
   /// Unavailable when no usable shard remains afterwards.
   Status PurgeUsableShards();
+  /// Whether a usable shard still awaits the purge a failed exchange owes.
+  bool UsableShardUnflushed() const;
   /// Receives one ctl reply from any shard's bus within `timeout_ms`
   /// (NotFound on expiry). Round-robins across buses in short slices.
   Status PumpReceive(int timeout_ms, int* shard, CtlResponse* out);
@@ -319,6 +335,12 @@ class RemoteSmcOracle : public MatchOracle {
   int64_t invocations_ = 0;
   std::vector<int64_t> shard_batches_done_;  ///< settled batches per shard
   std::vector<int64_t> shard_pairs_done_;    ///< labeled pairs per shard
+  /// Per shard: an exchange failed (or was drained off it) since its last
+  /// purge barrier. The daemons walk their work positionally, so frames the
+  /// failed exchange left in their inboxes would be read by the next one;
+  /// no verdict from such a shard counts, and nothing new is dispatched to
+  /// it, until PurgeShard clears the mark.
+  std::vector<bool> unflushed_;
   int64_t pairs_quarantined_ = 0;
   int64_t retries_ = 0;
   int64_t rebalanced_pairs_ = 0;

@@ -80,6 +80,15 @@ Result<bool> QueryingParty::DecideAttr(MessageBus* bus,
   return plain->Sign() >= 0;
 }
 
+Status QueryingParty::SkipAttr(MessageBus* bus) {
+  auto msg = bus->Expect(kQp, "bob_ct");
+  if (!msg.ok()) return msg.status();
+  size_t off = 0;
+  auto c = ConsumeBigInt(msg->payload, &off);
+  if (!c.ok()) return c.status();
+  return ValidateReceived(pub_, *c, "bob_ct");
+}
+
 Result<BigInt> QueryingParty::ReceivePlain(MessageBus* bus, SmcCosts* costs) {
   auto msg = bus->Expect(kQp, "bob_ct");
   if (!msg.ok()) return msg.status();
@@ -192,17 +201,24 @@ void DataHolder::AttachRandomizerPool(crypto::RandomizerPool* pool) {
 
 Status DataHolder::SendAttr(MessageBus* bus, const std::string& peer,
                             const BigInt& x, int64_t cache_key,
-                            SmcCosts* costs) {
+                            SmcCosts* costs, AttrCiphertexts* reuse) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
-  std::vector<uint8_t> payload;
+  auto send = [&](const BigInt& c_x2, const BigInt& c_m2x) {
+    std::vector<uint8_t> payload;
+    AppendBigInt(c_x2, &payload);
+    AppendBigInt(c_m2x, &payload);
+    bus->Send({name_, peer, "alice_ct", std::move(payload)});
+    return Status::OK();
+  };
   if (params_.cache_ciphertexts && cache_key >= 0) {
     auto it = send_cache_.find(cache_key);
     if (it != send_cache_.end()) {
-      AppendBigInt(it->second.first, &payload);
-      AppendBigInt(it->second.second, &payload);
-      bus->Send({name_, peer, "alice_ct", std::move(payload)});
-      return Status::OK();
+      return send(it->second.first, it->second.second);
     }
+  }
+  // The guard: a reuse entry stands in only for the value it encrypts.
+  if (reuse != nullptr && reuse->filled && reuse->x == x) {
+    return send(reuse->c_x2, reuse->c_m2x);
   }
   auto c1 = pub_.EncryptSigned(x * x, *rng_);
   if (!c1.ok()) return c1.status();
@@ -212,10 +228,13 @@ Status DataHolder::SendAttr(MessageBus* bus, const std::string& peer,
   if (params_.cache_ciphertexts && cache_key >= 0) {
     send_cache_.emplace(cache_key, std::make_pair(*c1, *c2));
   }
-  AppendBigInt(*c1, &payload);
-  AppendBigInt(*c2, &payload);
-  bus->Send({name_, peer, "alice_ct", std::move(payload)});
-  return Status::OK();
+  if (reuse != nullptr) {
+    reuse->filled = true;
+    reuse->x = x;
+    reuse->c_x2 = *c1;
+    reuse->c_m2x = *c2;
+  }
+  return send(*c1, *c2);
 }
 
 Status DataHolder::FoldAndForward(MessageBus* bus, const BigInt& y,

@@ -32,6 +32,17 @@ struct ProtocolParams {
   bool crt_decrypt = true;
 };
 
+/// Alice's two ciphertexts for one scalar attribute value, Enc(x²) and
+/// Enc(-2x), kept so that later pairs of the same batch can resend them.
+/// The value travels with the ciphertexts so that a reuse can be checked
+/// against the value being sent (DataHolder::SendAttr).
+struct AttrCiphertexts {
+  bool filled = false;
+  crypto::BigInt x;
+  crypto::BigInt c_x2;
+  crypto::BigInt c_m2x;
+};
+
 /// Alice's pre-encrypted cross terms for one pair of a packed exchange:
 /// cts[i] = Enc(-2·xs[i]·W_{first_slot+i}). The values and the first slot
 /// travel with the ciphertexts so that a reuse can be checked against the
@@ -65,6 +76,12 @@ class QueryingParty {
   /// threshold. `threshold` is the scaled integer bound on (x-y)^2.
   Result<bool> DecideAttr(MessageBus* bus, const crypto::BigInt& threshold,
                           SmcCosts* costs);
+
+  /// Consumes one "bob_ct" message and range-validates it without
+  /// decrypting: the pair's verdict was already settled by an earlier
+  /// failing attribute, and consuming the frame keeps the next pair's
+  /// frames aligned.
+  Status SkipAttr(MessageBus* bus);
 
   /// Consumes one "bob_ct" message and returns the decrypted signed
   /// plaintext (distance-revealing variant only; test/benchmark hook).
@@ -133,8 +150,11 @@ class DataHolder {
 
   /// Alice's role for one attribute: ship Enc(x²), Enc(-2x) to `peer`.
   /// cache_key >= 0 reuses ciphertexts for that (record, attribute).
+  /// A non-null `reuse` is resent when it was filled for exactly this x;
+  /// otherwise the fresh ciphertexts are sent and stored into it.
   Status SendAttr(MessageBus* bus, const std::string& peer,
-                  const crypto::BigInt& x, int64_t cache_key, SmcCosts* costs);
+                  const crypto::BigInt& x, int64_t cache_key, SmcCosts* costs,
+                  AttrCiphertexts* reuse = nullptr);
 
   /// Bob's role: fold its value into Alice's ciphertexts producing
   /// Enc((x-y)²), optionally blind against the threshold, and forward to the

@@ -11,8 +11,10 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "net/frame.h"
@@ -1021,6 +1023,255 @@ TEST_F(MeshTest, MidBatchCrashQuarantinesWithoutFalseLabels) {
   // Shutdown is best-effort with a dead party; it must not hang.
   (void)oracle->Shutdown(/*stop_daemons=*/true);
 }
+
+// ------------------------------------------- streamed pair-batch exchange
+
+/// One pair with explicit row ids: the stream's per-batch reuse keys on
+/// Alice's row id, so these tests choose the ids rather than PairBatch's
+/// positional ones.
+struct IdPair {
+  int64_t a_id;
+  Record a;
+  int64_t b_id;
+  Record b;
+};
+
+std::vector<RowPairRequest> IdBatch(const std::vector<IdPair>& pairs) {
+  std::vector<RowPairRequest> batch;
+  batch.reserve(pairs.size());
+  for (const IdPair& p : pairs) {
+    RowPairRequest req;
+    req.a_id = p.a_id;
+    req.b_id = p.b_id;
+    req.a = &p.a;
+    req.b = &p.b;
+    batch.push_back(req);
+  }
+  return batch;
+}
+
+/// Three Alice rows, each recurring, over first-attribute failures
+/// (category differs), later-attribute failures (numeric too far) and
+/// matches, interleaved so that every batch size splits them differently.
+std::vector<IdPair> MixedOutcomePairs() {
+  const Record a0 = Rec(3, 50), a1 = Rec(5, 30), a2 = Rec(1, 10);
+  return {
+      {0, a0, 100, Rec(3, 55)},  // match
+      {0, a0, 101, Rec(4, 55)},  // first attribute fails
+      {1, a1, 102, Rec(5, 41)},  // second attribute fails
+      {1, a1, 103, Rec(5, 40)},  // match at the threshold
+      {2, a2, 104, Rec(1, 90)},  // second attribute fails
+      {0, a0, 105, Rec(3, 50)},  // exact match
+      {1, a1, 101, Rec(4, 55)},  // first attribute fails
+      {2, a2, 100, Rec(3, 55)},  // first attribute fails
+      {0, a0, 104, Rec(1, 90)},  // first attribute fails
+      {2, a2, 106, Rec(1, 15)},  // match
+  };
+}
+
+/// 2 × the distinct (a_id, attribute position, value) keys of each
+/// dispatched batch: Alice's Enc(x²) and Enc(-2x) once per key per batch.
+int64_t ExpectedAliceEncryptions(const std::vector<IdPair>& pairs,
+                                 size_t rpc_batch, const MatchRule& rule) {
+  int64_t total = 0;
+  for (size_t first = 0; first < pairs.size(); first += rpc_batch) {
+    std::set<std::tuple<int64_t, size_t, double>> keys;
+    const size_t last = std::min(pairs.size(), first + rpc_batch);
+    for (size_t p = first; p < last; ++p) {
+      for (size_t pos = 0; pos < rule.attrs.size(); ++pos) {
+        const AttrRule& attr = rule.attrs[pos];
+        const Value& v = pairs[p].a[attr.attr_index];
+        keys.insert({pairs[p].a_id, pos,
+                     attr.type == AttrType::kNumeric
+                         ? v.num()
+                         : static_cast<double>(v.category())});
+      }
+    }
+    total += 2 * static_cast<int64_t>(keys.size());
+  }
+  return total;
+}
+
+class StreamedBatchTest : public MeshTest,
+                          public ::testing::WithParamInterface<int> {};
+
+// The querying daemon stops at a pair's first failing attribute, so its
+// decryptions and attribute decisions equal the in-process comparator's
+// early exit on the same pairs. Bob still folds every attribute; Alice
+// encrypts each (row, position, value) once per batch.
+TEST_P(StreamedBatchTest, CountsMatchInProcessComparator) {
+  const int rpc_batch = GetParam();
+  StartMesh(/*receive_timeout_ms=*/2000);
+  auto oracle = MakeOracle(2000, rpc_batch);
+  ASSERT_TRUE(oracle->Init().ok());
+
+  smc::SmcConfig cfg;
+  cfg.key_bits = 256;
+  cfg.test_seed = 4242;
+  smc::SecureRecordComparator reference(cfg, MixedRule());
+  ASSERT_TRUE(reference.Init().ok());
+  const smc::SmcCosts before = reference.costs();
+
+  const std::vector<IdPair> pairs = MixedOutcomePairs();
+  auto labels = oracle->CompareBatch(IdBatch(pairs));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  ASSERT_EQ(labels->size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    auto expected =
+        reference.CompareRows(pairs[i].a_id, pairs[i].b_id, pairs[i].a,
+                              pairs[i].b);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(*expected, RecordsMatch(pairs[i].a, pairs[i].b, MixedRule()))
+        << "pair " << i;
+    EXPECT_EQ((*labels)[i], *expected ? kPairMatch : kPairNonMatch)
+        << "pair " << i;
+  }
+  ASSERT_EQ(oracle->retries(), 0);  // a retry would re-encrypt its pairs
+
+  auto mesh = oracle->CollectStats();
+  ASSERT_TRUE(mesh.ok()) << mesh.status().ToString();
+  const smc::SmcCosts& qp = mesh->per_party.at("qp").costs;
+  EXPECT_EQ(qp.decryptions,
+            reference.costs().decryptions - before.decryptions);
+  EXPECT_EQ(qp.attr_comparisons,
+            reference.costs().attr_comparisons - before.attr_comparisons);
+  // Early exit really happened: fewer decisions than attributes.
+  const int64_t attrs = static_cast<int64_t>(MixedRule().attrs.size());
+  EXPECT_LT(qp.decryptions, attrs * static_cast<int64_t>(pairs.size()));
+  EXPECT_EQ(mesh->per_party.at("bob").costs.encryptions,
+            attrs * static_cast<int64_t>(pairs.size()));
+  EXPECT_EQ(mesh->per_party.at("alice").costs.encryptions,
+            ExpectedAliceEncryptions(pairs, static_cast<size_t>(rpc_batch),
+                                     MixedRule()));
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(RpcBatch, StreamedBatchTest,
+                         ::testing::Values(1, 3, 32));
+
+// Alice's per-batch reuse is guarded by value: a row id that carries a
+// different record later in the same batch gets a fresh encryption, never
+// the earlier value's ciphertexts.
+TEST_F(MeshTest, BatchReuseNeverResendsAnotherValue) {
+  StartMesh(/*receive_timeout_ms=*/2000);
+  auto oracle = MakeOracle(2000, /*rpc_batch=*/32, /*rpc_window=*/4);
+  ASSERT_TRUE(oracle->Init().ok());
+
+  const std::vector<IdPair> pairs = {
+      {7, Rec(3, 50), 100, Rec(3, 55)},  // match
+      {7, Rec(3, 80), 100, Rec(3, 55)},  // same id, new value: too far
+      {7, Rec(3, 50), 101, Rec(3, 58)},  // the first value again: match
+  };
+  auto labels = oracle->CompareBatch(IdBatch(pairs));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ((*labels)[i], RecordsMatch(pairs[i].a, pairs[i].b, MixedRule())
+                                ? kPairMatch
+                                : kPairNonMatch)
+        << "pair " << i;
+  }
+  ASSERT_EQ(oracle->retries(), 0);
+  auto mesh = oracle->CollectStats();
+  ASSERT_TRUE(mesh.ok()) << mesh.status().ToString();
+  // Keys (7, cat, 3), (7, num, 50) and (7, num, 80): the new value costs
+  // its own two encryptions, the repeated ones none.
+  EXPECT_EQ(mesh->per_party.at("alice").costs.encryptions, 2 * 3);
+  EXPECT_EQ(ExpectedAliceEncryptions(pairs, 32, MixedRule()), 2 * 3);
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+// Pairs whose first attribute fails leave a numeric bob_ct the querying
+// party never decrypts. It must still consume it: alternating such pairs
+// with matches over full batches and a window of four would otherwise read
+// a stale far-apart numeric frame as the next pair's category and label a
+// match as a non-match (or stall on a frame that never comes).
+TEST_F(MeshTest, EarlyStopConsumesSkippedFramesAcrossTheStream) {
+  StartMesh(/*receive_timeout_ms=*/2000);
+  auto oracle = MakeOracle(2000, /*rpc_batch=*/32, /*rpc_window=*/4);
+  ASSERT_TRUE(oracle->Init().ok());
+
+  std::vector<IdPair> pairs;
+  for (int64_t i = 0; i < 80; ++i) {
+    if (i % 2 == 0) {
+      pairs.push_back({i, Rec(3, 50), 1000 + i, Rec(4, 90)});  // both fail
+    } else {
+      pairs.push_back({i, Rec(2, 70), 1000 + i, Rec(2, 72)});  // match
+    }
+  }
+  auto labels = oracle->CompareBatch(IdBatch(pairs));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ((*labels)[i], i % 2 == 0 ? kPairNonMatch : kPairMatch)
+        << "pair " << i;
+  }
+  EXPECT_EQ(oracle->retries(), 0);
+  EXPECT_EQ(oracle->pairs_quarantined(), 0);
+  auto mesh = oracle->CollectStats();
+  ASSERT_TRUE(mesh.ok()) << mesh.status().ToString();
+  EXPECT_EQ(mesh->per_party.at("qp").costs.decryptions, 40 * 1 + 40 * 2);
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+// The offline warmup asks each holder for what it consumes: Alice two
+// encryptions per attribute per pair, Bob one (two when blinding).
+TEST(WarmupSizingTest, EachHolderGetsWhatItConsumes) {
+  smc::SmcConfig cfg;
+  cfg.offline_pairs = 8;
+  const MatchRule rule = MixedRule();  // two attributes
+  net::HolderRandomizers want = net::WarmupRandomizers(cfg, rule);
+  EXPECT_EQ(want.alice, 8u * 2 * 2);
+  EXPECT_EQ(want.bob, 8u * 2);
+
+  cfg.reveal_distances = false;  // Bob also encrypts the blinding term
+  want = net::WarmupRandomizers(cfg, rule);
+  EXPECT_EQ(want.alice, 8u * 2 * 2);
+  EXPECT_EQ(want.bob, 8u * 2 * 2);
+
+  cfg.offline_pairs = 0;
+  want = net::WarmupRandomizers(cfg, rule);
+  EXPECT_EQ(want.alice, 0u);
+  EXPECT_EQ(want.bob, 0u);
+}
+
+// A transient fault leaves frames in the daemons' inboxes that the next
+// batch on the shard would read positionally: with four batches in flight,
+// every slot of those batches can come back OK with verdicts computed from
+// other pairs' ciphertexts. No such batch's label may count until the
+// purge barrier has flushed the mesh, whichever party faulted.
+class FaultedRoleTest : public MeshTest,
+                        public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(FaultedRoleTest, NoLabelCountsBehindATransientFault) {
+  StartMesh(/*receive_timeout_ms=*/500);
+  auto oracle = MakeOracle(500, /*rpc_batch=*/3, /*rpc_window=*/4);
+  ASSERT_TRUE(oracle->Init().ok());
+  ASSERT_TRUE(oracle->InjectFailures(GetParam(), 1).ok());
+
+  std::vector<std::pair<Record, Record>> pairs;
+  for (int rep = 0; rep < 4; ++rep) {
+    for (const auto& pair : SixPairs()) pairs.push_back(pair);
+  }
+  auto labels = oracle->CompareBatch(PairBatch(pairs));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ((*labels)[i],
+              RecordsMatch(pairs[i].first, pairs[i].second, MixedRule())
+                  ? kPairMatch
+                  : kPairNonMatch)
+        << "pair " << i;
+  }
+  EXPECT_GE(oracle->retries(), 1);
+  EXPECT_EQ(oracle->pairs_quarantined(), 0);
+
+  // The next call starts on a flushed mesh too.
+  auto again = oracle->CompareBatch(PairBatch(pairs));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, *labels);
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Role, FaultedRoleTest,
+                         ::testing::Values("alice", "bob", "qp"));
 
 // A relaunched coordinator resumes at a strictly higher session epoch: the
 // daemons adopt it on the resume configure, the resumed session's own work
