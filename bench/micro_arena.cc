@@ -52,11 +52,8 @@ void CountingFree(void* p, size_t n) { g_base_free(p, n); }
 namespace hprl::smc {
 namespace {
 
-// 1024-bit modulus, 64-bit slots → 15 slots per plaintext → 7 two-attribute
-// pairs per packed group (PackingLayout::Plan reserves 2 sign-safety bits).
-// Slots must be 64-bit: the carry-safety bound (|x|+|y|)² on fp-scaled
-// numerics (fp_scale=1000) overflows 32-bit slots and would silently demote
-// every pair to the scalar fallback, which the arena does not touch.
+// 1024-bit modulus, two numerics bounded by [16, 112) at fp_scale 1000 →
+// 34-bit slots, room for 15 pairs; the group is capped at 7 pairs.
 constexpr int kPairsPerGroup = 7;
 
 MatchRule TwoNumericRule() {
@@ -67,6 +64,8 @@ MatchRule TwoNumericRule() {
     a.type = AttrType::kNumeric;
     a.theta = 0.05;
     a.norm = 96;
+    a.lo = 16;
+    a.hi = 112;
     rule.attrs.push_back(a);
   }
   return rule;
@@ -85,7 +84,6 @@ Run MeasureMode(bool use_arena, int groups) {
   cfg.key_bits = 1024;
   cfg.test_seed = 4242;  // pinned: both modes see the identical key + stream
   cfg.pack_pairs = kPairsPerGroup;
-  cfg.pack_slot_bits = 64;
   cfg.use_arena = use_arena;
   MatchRule rule = TwoNumericRule();
   SecureRecordComparator cmp(cfg, rule);

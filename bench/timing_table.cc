@@ -35,6 +35,10 @@ int main(int argc, char** argv) {
       "reuse-out", "",
       "write the packed cross-term reuse stage's encryption counts to this "
       "JSON file (\"\" = print only)");
+  std::string* layout_out = common.flags.AddString(
+      "layout-out", "",
+      "write the packed layout stage's decryption and encryption counts to "
+      "this JSON file (\"\" = print only)");
   std::string* material_dir = common.flags.AddString(
       "material-dir", "",
       "run the cold/warm offline-material comparison against this store "
@@ -52,6 +56,8 @@ int main(int argc, char** argv) {
     a.type = AttrType::kNumeric;
     a.theta = 0.05;
     a.norm = 96;
+    a.lo = 16;  // the Adult age hierarchy's root [16, 112): public bound
+    a.hi = 112;
     one_attr.attrs = {a};
   }
   smc::SmcConfig smc_cfg;
@@ -188,12 +194,13 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Cross-term reuse: five attributes per pair (three pairs per packed
-    // group at the 1024-bit default) and pairs ordered by Alice row, 16 Bob
-    // rows each, the way the selection heuristic emits them. Alice encrypts
-    // each (row, position in the group) cross term once per batch, so the
-    // encryptions per packed pair fall from 5 + 2/3 towards the 2/3 of the
-    // per-group packed squares.
+    // Cross-term reuse: five attributes per pair (34-bit slots, so six
+    // pairs per packed group at the 1024-bit default) and pairs ordered by
+    // Alice row, 16 Bob rows each, the way the selection heuristic emits
+    // them. The engine deals the batch into groups by stride and Alice
+    // encrypts each (row, position in the group) cross term once per batch,
+    // so the encryptions per packed pair fall from 5 + 1/3 towards the 1/3
+    // of the per-group packed squares.
     if (*smc_pack > 0) {
       constexpr int kReuseAttrs = 5;
       constexpr int64_t kPairsPerRow = 16;
@@ -254,6 +261,80 @@ int main(int argc, char** argv) {
                      static_cast<long long>(rc.packed_pairs),
                      static_cast<long long>(rc.packed_exchanges),
                      static_cast<long long>(rc.encryptions), enc_per_pair);
+        std::fclose(f);
+      }
+    }
+
+    // Packed layout: the five Adult QIDs of hprl_gen's spec under their
+    // hierarchies' public bounds (62 bits per pair, so --smc-pack pairs
+    // per plaintext up to 16 at 1024 bits), on a batch of 8 Alice rows with
+    // 16 Bob rows each, the way the selection heuristic orders pairs. The
+    // counts are deterministic: one decryption per group, and with strided
+    // groups each row's cross terms are encrypted once.
+    if (*smc_pack > 0) {
+      constexpr int64_t kLayoutRows = 8;
+      constexpr int64_t kLayoutPerRow = 16;
+      std::vector<VghPtr> vghs;
+      for (const auto& name : adult::AdultQidNames()) {
+        vghs.push_back(data.hierarchies.ByName(name));
+      }
+      auto rule = MakeUniformRule(data.schema, adult::AdultQidNames(), vghs,
+                                  5, 0.05);
+      if (!rule.ok()) bench::Die(rule.status());
+      const Table& r = data.split.d1;
+      const Table& s = data.split.d2;
+      if (r.num_rows() < kLayoutRows || s.num_rows() < kLayoutPerRow) {
+        bench::Die(Status::InvalidArgument("packed layout stage needs rows"));
+      }
+      std::vector<RowPairRequest> layout_batch;
+      for (int64_t i = 0; i < kLayoutRows; ++i) {
+        for (int64_t j = 0; j < kLayoutPerRow; ++j) {
+          layout_batch.push_back({i, j, &r.row(i), &s.row(j)});
+        }
+      }
+      smc::SmcConfig layout_cfg = fast_cfg;
+      layout_cfg.pack_pairs = static_cast<int>(*smc_pack);
+      smc::BatchSmcEngine layout_engine(layout_cfg, *rule,
+                                        static_cast<int>(*smc_threads));
+      if (auto st = layout_engine.Init(); !st.ok()) bench::Die(st);
+      auto labels = layout_engine.CompareBatch(layout_batch);
+      if (!labels.ok()) bench::Die(labels.status());
+      for (size_t i = 0; i < layout_batch.size(); ++i) {
+        if (((*labels)[i] == kPairMatch) !=
+            RecordsMatch(*layout_batch[i].a, *layout_batch[i].b, *rule)) {
+          bench::Die(Status::Internal("packed layout labels diverge"));
+        }
+      }
+      const smc::SmcCosts& lc = layout_engine.costs();
+      if (lc.packed_pairs != static_cast<int64_t>(layout_batch.size())) {
+        bench::Die(Status::Internal("packed layout stage left pairs scalar"));
+      }
+      const double pairs = static_cast<double>(lc.packed_pairs);
+      const double dec_per_pair = static_cast<double>(lc.decryptions) / pairs;
+      const double enc_per_pair = static_cast<double>(lc.encryptions) / pairs;
+      std::printf("%-52s %10.3f dec, %.3f enc   (%lld pairs, %.1f/group)\n",
+                  "packed layout per pair, 5 Adult QIDs", dec_per_pair,
+                  enc_per_pair, static_cast<long long>(lc.packed_pairs),
+                  pairs / static_cast<double>(lc.packed_exchanges));
+      if (!layout_out->empty()) {
+        FILE* f = std::fopen(layout_out->c_str(), "w");
+        if (f == nullptr) {
+          bench::Die(Status::IOError("cannot write " + *layout_out));
+        }
+        std::fprintf(f,
+                     "{\"attrs\": 5, \"alice_rows\": %lld, "
+                     "\"pairs_per_alice_row\": %lld, "
+                     "\"packed_pairs\": %lld, \"pairs_per_group\": %.4f, "
+                     "\"decryptions\": %lld, \"encryptions\": %lld, "
+                     "\"dec_per_packed_pair\": %.4f, "
+                     "\"enc_per_packed_pair\": %.4f}\n",
+                     static_cast<long long>(kLayoutRows),
+                     static_cast<long long>(kLayoutPerRow),
+                     static_cast<long long>(lc.packed_pairs),
+                     pairs / static_cast<double>(lc.packed_exchanges),
+                     static_cast<long long>(lc.decryptions),
+                     static_cast<long long>(lc.encryptions), dec_per_pair,
+                     enc_per_pair);
         std::fclose(f);
       }
     }

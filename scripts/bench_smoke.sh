@@ -22,7 +22,11 @@
 #   - short exponent: ScalarMul(c, -rho) vs ScalarMul(c, rho) at the default
 #     40 blind bits (ratio ceiling: 2x)
 #   - cross-term reuse: Paillier encryptions per packed pair on a batch whose
-#     pairs share Alice rows (ceiling: 2.0; 5 + 2/3 without reuse)
+#     pairs share Alice rows (ceiling: 2.0; 5 + 1/3 without reuse)
+#   - packed layout: decryptions and encryptions per packed pair on a batch
+#     of the five Adult QIDs grouped by Alice row, slots sized from their
+#     public bounds (ceilings: 0.15 and 0.6; 0.33 and ~1.0 with uniform
+#     64-bit slots dealt contiguously)
 #   - tcp exchange: the loopback run's querying-party decryptions vs an
 #     in-process scalar run of the same spec (must be exactly 1.0: the
 #     daemon stops at each pair's first failing attribute) and its Paillier
@@ -35,7 +39,9 @@
 #       below 80% of its committed value, if the async-datapath overhead
 #       ratio exceeds 2x, if the arena allocation reduction falls below
 #       5x, if a negative scalar costs over 2x a positive one, if a
-#       packed pair costs over 2 encryptions, if the TCP exchange decrypts
+#       packed pair costs over 2 encryptions, if the packed layout costs
+#       over 0.15 decryptions or 0.6 encryptions per pair, if the TCP
+#       exchange decrypts
 #       more or less than the in-process one, or if it spends over 6.8
 #       encryptions per SMC pair; the committed file is not rewritten
 set -euo pipefail
@@ -64,7 +70,8 @@ echo "== micro_crypto: CRT decrypt + fixed-base randomizer + ±rho ScalarMul =="
 echo "== timing_table: batched + packed SMC + cold/warm material stages =="
 "./$BUILD/bench/timing_table" --rows 400 --smc-reps 3 --smc-threads 4 \
   --smc-batch 32 --smc-pack 8 --material-dir "$TMP/material" \
-  --metrics_out "$TMP/timing.json" --reuse-out "$TMP/reuse.json"
+  --metrics_out "$TMP/timing.json" --reuse-out "$TMP/reuse.json" \
+  --layout-out "$TMP/layout.json"
 
 echo "== micro_blocking: memoized sweep vs direct sweep (+ cutoff guard) =="
 "./$BUILD/bench/micro_blocking" --rows 4000 --k 8 --threads 4 \
@@ -313,7 +320,7 @@ report["short_exponent"] = {
 }
 
 # Cross-term reuse: Paillier encryptions per packed pair when consecutive
-# pairs share an Alice row (16 Bob rows per Alice row, 5 attributes, 3 pairs
+# pairs share an Alice row (16 Bob rows per Alice row, 5 attributes, 6 pairs
 # per group). Alice encrypts each (row, position) cross term once per batch,
 # so only the per-group packed squares scale with the pairs. Guarded below
 # by its own ceiling (<= 2.0), not the generic loop.
@@ -325,6 +332,25 @@ report["cross_term_reuse"] = {
     "packed_pairs": reuse["packed_pairs"],
     "encryptions": reuse["encryptions"],
     "enc_per_packed_pair": reuse["enc_per_packed_pair"],
+}
+
+# Packed layout: the five Adult QIDs of hprl_gen's spec, slots sized from
+# their hierarchies (62 bits per pair, 8 pairs per plaintext at --smc-pack
+# 8), on 8 Alice rows x 16 Bob rows dealt into groups by stride. Counts,
+# not timings: one decryption per group, each row's cross terms once.
+# Guarded below by its own ceilings (<= 0.15 and <= 0.6).
+with open(os.path.join(tmp, "layout.json")) as f:
+    layout = json.load(f)
+report["packed_layout"] = {
+    "attrs": layout["attrs"],
+    "alice_rows": layout["alice_rows"],
+    "pairs_per_alice_row": layout["pairs_per_alice_row"],
+    "packed_pairs": layout["packed_pairs"],
+    "pairs_per_group": layout["pairs_per_group"],
+    "decryptions": layout["decryptions"],
+    "encryptions": layout["encryptions"],
+    "dec_per_packed_pair": layout["dec_per_packed_pair"],
+    "enc_per_packed_pair": layout["enc_per_packed_pair"],
 }
 
 # Streamed TCP exchange: the querying daemon stops at each pair's first
@@ -405,6 +431,16 @@ if check:
     else:
         print(f"check OK cross_term_reuse.enc_per_packed_pair: "
               f"{enc_per_pair:.2f} (ceiling 2.0)")
+    for key, ceiling in (("dec_per_packed_pair", 0.15),
+                         ("enc_per_packed_pair", 0.6)):
+        measured = report["packed_layout"][key]
+        if measured > ceiling:
+            failures.append(
+                f"packed_layout.{key}: measured {measured:.4f} > "
+                f"{ceiling} ceiling")
+        else:
+            print(f"check OK packed_layout.{key}: {measured:.4f} "
+                  f"(ceiling {ceiling})")
     dec_ratio = report["tcp_exchange"]["tcp_over_inproc_decryptions"]
     if dec_ratio != 1.0:
         failures.append(

@@ -69,8 +69,8 @@ Result<Plan> BuildPlan(const LinkageSpec& spec, const RawCsv* raw_r,
     r.type = spec.attrs[i].type;
     r.theta = spec.attrs[i].theta;
     r.name = spec.attrs[i].name;
-    if (r.type == AttrType::kNumeric) {
-      r.norm = plan.hierarchies[i]->RootRange();
+    if (plan.hierarchies[i] != nullptr) {
+      SetBoundFromHierarchy(*plan.hierarchies[i], &r);
     }
     plan.rule.attrs.push_back(std::move(r));
   }
@@ -91,6 +91,17 @@ Result<Plan> BuildPlan(const LinkageSpec& spec, const RawCsv* raw_r,
   return plan;
 }
 
+smc::SmcConfig SmcConfigFromSpec(const LinkageSpec& spec) {
+  smc::SmcConfig config;
+  config.key_bits = spec.key_bits;
+  config.max_retries = spec.smc_retries;
+  config.pack_pairs = spec.smc_pack;
+  config.test_seed = spec.smc_seed;
+  config.material_dir = spec.material_dir;
+  config.offline_pairs = spec.offline_pairs;
+  return config;
+}
+
 Result<Value> TypedField(const std::string& field, const Plan& plan,
                          int attr_index, const std::string& where) {
   const AttributeDef& attr = plan.schema->attribute(attr_index);
@@ -102,7 +113,19 @@ Result<Value> TypedField(const std::string& field, const Plan& plan,
             StrFormat("%s: bad numeric '%s' for %s", where.c_str(),
                       field.c_str(), attr.name.c_str()));
       }
-      return Value::Numeric(*v);
+      // The hierarchy root is the public bound the packed SMC exchange
+      // sizes its slots from: a value outside it is refused here, before
+      // any party sees it.
+      Value value = Value::Numeric(*v);
+      if (attr_index < plan.rule.num_attrs() &&
+          !plan.rule.attrs[attr_index].InBound(value)) {
+        const AttrRule& rule = plan.rule.attrs[attr_index];
+        return Status::InvalidArgument(StrFormat(
+            "%s: %s value '%s' is outside its hierarchy's root [%g, %g)",
+            where.c_str(), attr.name.c_str(), field.c_str(), rule.lo,
+            rule.hi));
+      }
+      return value;
     }
     case AttrType::kCategorical: {
       int32_t id = attr.domain->Find(field);

@@ -10,6 +10,7 @@
 #include "data/csv.h"
 #include "data/table.h"
 #include "linkage/match_rule.h"
+#include "smc/protocol.h"
 
 namespace hprl::cli {
 
@@ -31,6 +32,11 @@ struct Plan {
 /// schema holds exactly the QIDs.
 Result<Plan> BuildPlan(const LinkageSpec& spec, const RawCsv* raw_r = nullptr,
                        const RawCsv* raw_s = nullptr);
+
+/// The SMC settings the spec declares: key size, retries, packing, seed,
+/// material store and offline sizing. The runners layer their CLI overrides
+/// and deployment knobs on top.
+smc::SmcConfig SmcConfigFromSpec(const LinkageSpec& spec);
 
 /// Converts one raw CSV into a typed table under the plan's schema, locating
 /// columns by header name. `which` prefixes error messages ("R"/"S").

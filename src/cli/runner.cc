@@ -150,9 +150,6 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
   const int smc_pack = options.smc_pack_override >= 0
                            ? options.smc_pack_override
                            : spec.smc_pack;
-  const int smc_pack_slot_bits = options.smc_pack_slot_bits_override >= 8
-                                     ? options.smc_pack_slot_bits_override
-                                     : spec.smc_pack_slot_bits;
   const int rpc_batch = options.rpc_batch_override >= 1
                             ? options.rpc_batch_override
                             : spec.rpc_batch;
@@ -259,11 +256,9 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
   const int shards = options.shards_override > 0 ? options.shards_override
                                                  : spec.shards;
   net::BackendOptions bopts;
-  bopts.config.key_bits = spec.key_bits;
-  bopts.config.max_retries = spec.smc_retries;
+  bopts.config = SmcConfigFromSpec(spec);
   bopts.config.fault_plan = fault_plan;
   bopts.config.pack_pairs = smc_pack;
-  bopts.config.pack_slot_bits = smc_pack_slot_bits;
   bopts.config.test_seed = smc_seed;
   bopts.config.material_dir = material_dir;
   bopts.config.offline_pairs = offline_pairs;

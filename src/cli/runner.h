@@ -32,8 +32,6 @@ struct RunnerOptions {
   /// >= 0: overrides the spec's `smc_pack` directive (pairs per packed SMC
   /// exchange; 0 forces the scalar exchange). < 0 keeps the spec's value.
   int smc_pack_override = -1;
-  /// >= 8: overrides the spec's packed slot width. < 0 keeps the spec's.
-  int smc_pack_slot_bits_override = -1;
 
   /// >= 1: overrides the spec's `rpc_batch` directive (pairs per TCP ctl
   /// batch; 1 forces the per-pair round trip). < 1 keeps the spec's value.

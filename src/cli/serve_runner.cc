@@ -213,7 +213,7 @@ std::string ServeReport::ToString() const {
       "HPRL_SERVE summary: deltas=%lld replayed=%lld applied=%lld "
       "queued=%lld rejected=%lld links=%lld smc_pairs=%lld "
       "replayed_smc=%lld quarantined=%lld epoch=%llu "
-      "pairs_per_sec=%.3f p99_delta_seconds=%.6f\n",
+      "pairs_per_sec=%.3f p99_delta_seconds=%.9f\n",
       static_cast<long long>(deltas), static_cast<long long>(replayed_deltas),
       static_cast<long long>(applied), static_cast<long long>(queued),
       static_cast<long long>(rejected), static_cast<long long>(links),
@@ -310,13 +310,7 @@ Result<ServeReport> RunServeFromFiles(const LinkageSpec& spec,
   const int hw_threads = std::max(
       1, static_cast<int>(std::thread::hardware_concurrency()));
   net::BackendOptions bopts;
-  bopts.config.key_bits = spec.key_bits;
-  bopts.config.max_retries = spec.smc_retries;
-  bopts.config.pack_pairs = spec.smc_pack;
-  bopts.config.pack_slot_bits = spec.smc_pack_slot_bits;
-  bopts.config.test_seed = spec.smc_seed;
-  bopts.config.material_dir = spec.material_dir;
-  bopts.config.offline_pairs = spec.offline_pairs;
+  bopts.config = SmcConfigFromSpec(spec);
   bopts.rule = plan->rule;
   bopts.smc_threads = options.smc_threads_override > 0
                           ? options.smc_threads_override

@@ -147,17 +147,14 @@ Result<LinkageSpec> ParseLinkageSpec(const std::string& text,
       if (!v.ok() || *v < 0) return err("bad smc_retries");
       spec.smc_retries = static_cast<int>(*v);
     } else if (key == "smc_pack") {
+      // A third token (the uniform slot width of earlier releases) is
+      // accepted and ignored: widths now come from the hierarchies.
       if (tok.size() != 2 && tok.size() != 3) {
-        return err("smc_pack needs: <pairs> [slot_bits]");
+        return err("smc_pack needs: <pairs>");
       }
       auto v = ParseInt(tok[1]);
       if (!v.ok() || *v < 0) return err("bad smc_pack pairs");
       spec.smc_pack = static_cast<int>(*v);
-      if (tok.size() == 3) {
-        auto bits = ParseInt(tok[2]);
-        if (!bits.ok() || *bits < 8) return err("bad smc_pack slot bits");
-        spec.smc_pack_slot_bits = static_cast<int>(*bits);
-      }
     } else if (key == "smc_seed") {
       if (tok.size() != 2) return err("smc_seed needs a value");
       auto v = ParseInt(tok[1]);

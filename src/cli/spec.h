@@ -41,7 +41,9 @@ struct AttrSpec {
 ///   anonymizer MaxEntropy
 ///   keybits 0            # 0 = exact plaintext oracle; >0 = Paillier bits
 ///   smc_retries 3        # transient-fault retries per protocol exchange
-///   smc_pack 8 64        # pairs per packed SMC exchange, then slot bits
+///   smc_pack 8           # pairs per packed SMC exchange (slot widths come
+///                        # from the QIDs' hierarchies; an old second
+///                        # token, the uniform slot width, is ignored)
 ///   smc_seed 4242        # pinned keypair seed (0 = OS entropy, the default)
 ///   material_dir cache/  # persistent offline crypto material store
 ///   offline_pairs 500    # offline phase sizing, in expected record pairs
@@ -82,9 +84,12 @@ struct LinkageSpec {
   int smc_retries = 3;
 
   /// Plaintext packing: pairs per packed SMC exchange
-  /// (smc::SmcConfig::pack_pairs); 0 keeps the scalar exchange.
+  /// (smc::SmcConfig::pack_pairs); 0 keeps the scalar exchange. Each slot
+  /// is sized from its QID's hierarchy (smc::PackedGroupPairs).
   int smc_pack = 0;
-  /// Bit width of one packed slot (smc::SmcConfig::pack_slot_bits).
+  /// Not set by the parser, which ignores smc_pack's old second token: the
+  /// uniform slot width of earlier releases, kept so that code which reads
+  /// it compiles.
   int smc_pack_slot_bits = 64;
 
   /// Pinned keypair/protocol seed (smc::SmcConfig::test_seed). 0 — the

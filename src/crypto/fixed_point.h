@@ -18,8 +18,10 @@ class FixedPointCodec {
 
   int64_t scale() const { return scale_; }
 
-  BigInt Encode(double v) const {
-    return BigInt(static_cast<int64_t>(std::llround(v * scale_)));
+  BigInt Encode(double v) const { return BigInt(EncodeInt64(v)); }
+
+  int64_t EncodeInt64(double v) const {
+    return static_cast<int64_t>(std::llround(v * scale_));
   }
 
   double Decode(const BigInt& x) const {

@@ -26,7 +26,7 @@ uint64_t KeyFingerprint(const BigInt& n);
 struct CryptoMaterial {
   uint64_t fingerprint = 0;    ///< KeyFingerprint of the public modulus
   uint32_t modulus_bits = 0;   ///< Paillier key size the material targets
-  uint32_t slot_bits = 0;      ///< packed-plaintext slot layout (0 = scalar)
+  uint32_t slot_bits = 0;      ///< packed slot layout; 0 (layout-free)
   uint32_t short_exp_bits = 0; ///< exponent width the table was built for
   std::vector<uint8_t> table_blob;  ///< FixedBaseTable::Serialize output
   std::vector<BigInt> randomizers;  ///< h_n^s mod n^2 (= Enc(0) ciphertexts)

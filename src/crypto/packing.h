@@ -9,37 +9,53 @@
 
 namespace hprl::crypto {
 
-/// Layout of a packed Paillier plaintext: `num_slots` disjoint bit-slots of
-/// `slot_bits` bits each, packed as  m = Σ v_i · 2^{slot_bits · i}.
+/// Layout of a packed Paillier plaintext: `num_slots` disjoint bit-slots,
+/// slot i spanning bits [offsets[i], offsets[i+1]), packed as
+///   m = Σ v_i · 2^{offsets[i]}.
 ///
-/// Additively homomorphic slot-wise: as long as every slot of every operand —
-/// and every slot of the SUM — stays inside [0, 2^slot_bits), homomorphic
-/// addition adds the slots independently (no carries cross a slot boundary)
-/// and one Encrypt/Add/Decrypt does the work of num_slots scalar ones.
-/// Callers are responsible for the carry-safety analysis; the SMC layer
-/// checks (|x| + |y|)² < 2^slot_bits per packed distance slot before taking
-/// the packed path.
+/// Additively homomorphic slot-wise: as long as every slot of the SUM stays
+/// inside [0, 2^width_i), homomorphic addition adds the slots independently
+/// (no carry crosses a slot boundary) and one Encrypt/Add/Decrypt does the
+/// work of num_slots scalar ones. Callers size each slot for the largest
+/// value it can hold; the SMC layer derives the widths from public
+/// per-attribute bounds (smc::PackedGroupPairs).
 struct PackingLayout {
+  /// Widest slot; every slot's width in a uniform layout (Plan).
   int slot_bits = 0;
   int num_slots = 0;
+  /// num_slots + 1 bit positions: slot i spans [offsets[i], offsets[i+1]).
+  std::vector<int> offsets;
 
-  /// Plans a layout for a modulus of `modulus_bits` bits: capacity is
-  /// (modulus_bits - 2) / slot_bits slots, so the packed value is < n/2 and
-  /// survives the signed-embedding round trip. Fails when no full slot fits
-  /// or slot_bits is below 8 (a squared distance of even 16 would not fit).
+  /// Plans a uniform layout for a modulus of `modulus_bits` bits: capacity
+  /// is (modulus_bits - 2) / slot_bits slots, so the packed value is < n/2
+  /// and survives the signed-embedding round trip. Fails when no full slot
+  /// fits or slot_bits is below 8 (a squared distance of even 16 would not
+  /// fit).
   static Result<PackingLayout> Plan(int modulus_bits, int slot_bits);
 
-  /// 2^{slot_bits · slot} — the weight of slot `slot` in the packed value.
+  /// Plans `pattern` (slot widths, each >= 1) repeated as many times as
+  /// fit in modulus_bits - 2 bits, at most `max_repeats` times. Fails when
+  /// not even one repetition fits.
+  static Result<PackingLayout> PlanRepeated(int modulus_bits,
+                                            const std::vector<int>& pattern,
+                                            int max_repeats);
+
+  int SlotOffset(size_t slot) const { return offsets[slot]; }
+  int SlotWidth(size_t slot) const {
+    return offsets[slot + 1] - offsets[slot];
+  }
+
+  /// 2^{offsets[slot]} — the weight of slot `slot` in the packed value.
   BigInt SlotWeight(size_t slot) const;
 
-  /// True when v can occupy one slot: 0 <= v < 2^slot_bits.
-  bool SlotHolds(const BigInt& v) const;
+  /// True when v can occupy slot `slot`: 0 <= v < 2^SlotWidth(slot).
+  bool SlotHolds(size_t slot, const BigInt& v) const;
 };
 
-/// Packs slot values into one plaintext. Fails (InvalidArgument) when there
-/// are more values than slots or any value is negative or >= 2^slot_bits —
-/// the slot-overflow rejection the protocol relies on to never silently
-/// corrupt a neighbouring slot.
+/// Packs slot values into one plaintext, value i into slot i. Fails
+/// (InvalidArgument) when there are more values than slots or any value is
+/// negative or does not fit its slot — the slot-overflow rejection the
+/// protocol relies on to never silently corrupt a neighbouring slot.
 Result<BigInt> PackSlots(const std::vector<BigInt>& values,
                          const PackingLayout& layout);
 

@@ -25,16 +25,31 @@ Result<MatchRule> MakeUniformRule(const SchemaPtr& schema,
     r.type = schema->attribute(idx).type;
     r.theta = theta;
     r.name = qid_names[i];
-    if (r.type == AttrType::kNumeric) {
-      if (hierarchies[i] == nullptr) {
-        return Status::InvalidArgument("numeric QID needs a hierarchy: " +
-                                       qid_names[i]);
-      }
-      r.norm = hierarchies[i]->RootRange();
+    if (r.type == AttrType::kNumeric && hierarchies[i] == nullptr) {
+      return Status::InvalidArgument("numeric QID needs a hierarchy: " +
+                                     qid_names[i]);
     }
+    if (hierarchies[i] != nullptr) SetBoundFromHierarchy(*hierarchies[i], &r);
     rule.attrs.push_back(std::move(r));
   }
   return rule;
+}
+
+bool AttrRule::InBound(const Value& v) const {
+  if (!HasBound()) return true;
+  if (type == AttrType::kNumeric) return v.num() >= lo && v.num() < hi;
+  return v.category() >= 0 && v.category() < categories;
+}
+
+void SetBoundFromHierarchy(const Vgh& vgh, AttrRule* rule) {
+  if (rule->type == AttrType::kNumeric) {
+    const Vgh::Node& root = vgh.node(Vgh::kRoot);
+    rule->lo = root.lo;
+    rule->hi = root.hi;
+    rule->norm = vgh.RootRange();
+  } else if (rule->type == AttrType::kCategorical) {
+    rule->categories = vgh.num_leaves();
+  }
 }
 
 double AttrDistance(const Value& a, const Value& b, const AttrRule& rule) {

@@ -147,20 +147,21 @@ Status BatchSmcEngine::Init() {
     if (!config_.material_dir.empty()) {
       material_store_ =
           std::make_unique<crypto::MaterialStore>(config_.material_dir);
-      const uint32_t slot = static_cast<uint32_t>(
-          config_.pack_pairs > 0 ? config_.pack_slot_bits : 0);
       // Keyed by the ACTUAL modulus bit length, matching ExportMaterial —
-      // n = p·q can come up one bit short of config key_bits.
+      // n = p·q can come up one bit short of config key_bits. Randomizers
+      // and tables do not depend on the packing layout, so every run files
+      // its material under slot_bits 0.
       auto loaded = material_store_->Load(
           crypto::KeyFingerprint(keypair_.pub.n()),
-          static_cast<uint32_t>(keypair_.pub.n().BitLength()), slot);
+          static_cast<uint32_t>(keypair_.pub.n().BitLength()),
+          /*slot_bits=*/0);
       if (loaded.ok() && pool_->AdoptMaterial(*loaded).ok()) {
         material_warm_ = true;
       } else {
         pool_->Prewarm(OfflineRandomizers(config_, rule_));
         // Best-effort: a read-only store degrades to always-cold, never to
         // a failed run.
-        (void)material_store_->Save(pool_->ExportMaterial(slot));
+        (void)material_store_->Save(pool_->ExportMaterial(/*slot_bits=*/0));
       }
     }
     pool_->Start();
@@ -240,27 +241,26 @@ Result<std::vector<uint8_t>> BatchSmcEngine::CompareBatch(
     if (metrics_ != nullptr) obs::Add(metrics_, "smc.pairs_quarantined");
   };
 
-  // Packed fast path: workers drain fixed position-based GROUPS of pairs,
-  // each group one packed exchange. Grouping depends only on config + rule,
-  // so every thread count produces the same groups — and both paths compute
+  // Packed fast path: workers drain GROUPS of pairs, each group one packed
+  // exchange, dealt by stride: with G groups, group g holds batch pairs
+  // g, g+G, g+2G, ... Grouping depends only on the batch and the config, so
+  // every thread count produces the same groups — and both paths compute
   // exact distances, so the labels match the scalar path bit for bit.
   const size_t group_pairs =
       static_cast<size_t>(workers_.front()->PackedGroupPairs());
   if (group_pairs >= 1) {
     const size_t num_groups = (batch.size() + group_pairs - 1) / group_pairs;
     std::vector<std::vector<RowPairRequest>> groups(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      const size_t begin = g * group_pairs;
-      const size_t end = std::min(begin + group_pairs, batch.size());
-      groups[g].assign(batch.begin() + static_cast<std::ptrdiff_t>(begin),
-                       batch.begin() + static_cast<std::ptrdiff_t>(end));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      groups[i % num_groups].push_back(batch[i]);
     }
 
-    // Alice's cross terms, once per (Alice row, position in the group). The
-    // selection heuristic emits pairs grouped by Alice row, so consecutive
-    // groups repeat the same keys; planning is a plaintext pass over the
-    // group plan, and the table it yields depends on the batch alone, so
-    // encryption counts are the same at every thread count.
+    // Alice's cross terms, once per (Alice row, position in the group).
+    // Position p of every group covers the batch range [p·G, (p+1)·G), and
+    // the selection heuristic emits pairs grouped by Alice row, so a row
+    // mostly keeps one position. Planning is a plaintext pass, and the
+    // table it yields depends on the batch alone, so encryption counts are
+    // the same at every thread count.
     CrossTermTable cross_terms;
     for (const auto& group : groups) {
       HPRL_RETURN_IF_ERROR(
@@ -278,19 +278,21 @@ Result<std::vector<uint8_t>> BatchSmcEngine::CompareBatch(
     HPRL_RETURN_IF_ERROR(StealEach(
         threads, num_groups, config_.pin_cores,
         [&](size_t w, size_t g) -> Status {
-          const size_t begin = g * group_pairs;
           auto matches =
               workers_[w]->ComparePackedGroup(groups[g], &cross_terms);
           if (matches.ok()) {
-            for (size_t i = 0; i < groups[g].size(); ++i) {
-              labels[begin + i] = (*matches)[i] ? kPairMatch : kPairNonMatch;
+            for (size_t p = 0; p < groups[g].size(); ++p) {
+              labels[g + p * num_groups] =
+                  (*matches)[p] ? kPairMatch : kPairNonMatch;
             }
             return Status::OK();
           }
           if (!IsFaultClass(matches.status())) return matches.status();
           // Quarantine granularity is the group here: one packed exchange
           // is indivisible, so a crash mid-group takes its whole group out.
-          for (size_t i = 0; i < groups[g].size(); ++i) quarantine(begin + i);
+          for (size_t p = 0; p < groups[g].size(); ++p) {
+            quarantine(g + p * num_groups);
+          }
           return RestartWorker(w);
         }));
   } else {

@@ -67,13 +67,14 @@ class BatchSmcEngine {
   /// Labels batch[i] into slot i of the result (kPairMatch / kPairNonMatch /
   /// kPairQuarantined); see class comment for the determinism argument.
   ///
-  /// Packed path: before the groups run, the workers encrypt Alice's cross
-  /// terms once for each distinct (Alice row id, position in the group) of
-  /// the batch, stealing keys off one cursor, into a table that the groups
-  /// then only read (SecureRecordComparator::ComparePackedGroup). Only the
-  /// two packed squares are encrypted per group. The set of keys depends on
-  /// the batch alone, so costs().encryptions is the same at every thread
-  /// count.
+  /// Packed path: the batch is dealt into G = ceil(n / group_pairs) groups
+  /// by stride (group g holds pairs g, g+G, ...). First the workers encrypt
+  /// Alice's cross terms once for each distinct (Alice row id, position in
+  /// the group) of the batch (at most rows + group_pairs - 1 when ordered by
+  /// row), stealing keys off one cursor, into a table that the groups then
+  /// only read (SecureRecordComparator::ComparePackedGroup). Only the two
+  /// packed squares are encrypted per group. The keys depend on the batch
+  /// alone, so costs().encryptions is the same at every thread count.
   ///
   /// Worker supervision: when a pair fails with a fault-class status — an
   /// injected crash (Unavailable), or a transient transport fault that

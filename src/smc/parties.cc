@@ -296,8 +296,9 @@ Status DataHolder::FoldAndForward(MessageBus* bus, const BigInt& y,
 Result<BigInt> DataHolder::EncryptCrossTerm(
     const BigInt& x, size_t slot, const crypto::PackingLayout& layout) {
   // Slot i's cross-term ciphertext arrives pre-shifted, Enc(-2x_i · W_i), so
-  // Bob's exponent is y_i alone rather than y_i · W_i. |2x_i| < 2^slot_bits
-  // by the carry check, so |-2x_i · W_i| < n/2 survives the signed encoding.
+  // Bob's exponent is y_i alone rather than y_i · W_i. The value is encoded
+  // mod n; only the folded sum, whose every slot holds (x_i - y_i)² < 2^w_i,
+  // is ever decrypted.
   return pub_.EncryptSigned(BigInt(-2) * x * layout.SlotWeight(slot), *rng_);
 }
 
@@ -354,7 +355,7 @@ Status DataHolder::SendAttrsPacked(
     costs->encryptions += 1;
     std::vector<uint8_t> payload;
     AppendBigInt(c_px2, &payload);
-    BigInt& m2x = arena_->Next();  // -2x_i · W_i = -2x_i << (slot_bits · i)
+    BigInt& m2x = arena_->Next();  // -2x_i · W_i = -2x_i << offset_i
     BigInt& ct = arena_->Next();
     for (size_t i = 0; i < xs.size(); ++i) {
       if (ready[i] != nullptr) {
@@ -363,7 +364,7 @@ Status DataHolder::SendAttrsPacked(
       }
       mpz_mul_si(m2x.raw(), xs[i].raw(), -2);
       mpz_mul_2exp(m2x.raw(), m2x.raw(),
-                   static_cast<mp_bitcnt_t>(layout.slot_bits) * i);
+                   static_cast<mp_bitcnt_t>(layout.SlotOffset(i)));
       HPRL_RETURN_IF_ERROR(
           pub_.EncryptSignedInto(m2x, *rng_, &scratch, &ct));
       costs->encryptions += 1;

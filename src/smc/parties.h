@@ -166,8 +166,8 @@ class DataHolder {
   /// Packed Alice: one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
   /// slot's x² packed into ONE plaintext — plus per-slot Enc(-2·x_i·W_i),
   /// already shifted into slot i so Bob's fold exponent is just y_i. The
-  /// caller has already checked carry safety ((|x|+|y|)² fits a slot) for
-  /// every slot.
+  /// caller sizes every slot of `layout` for its values (each x_i², y_i²
+  /// and (x_i - y_i)² fits slot i).
   ///
   /// Each slot's cross term is copied from a `reuse` entry that covers it
   /// when that entry's first slot and every one of its values equal this

@@ -49,6 +49,44 @@ bool IsTransient(const Status& s) {
   }
 }
 
+/// Plans the packed exchange for `rule` under `config` into *attrs (the
+/// compared attributes' slot domains) and *layout (one full group), and
+/// returns the pairs per group; 0 when the packed path is unavailable.
+int PlanPacked(const SmcConfig& config, const MatchRule& rule,
+               std::vector<PackedAttr>* attrs, crypto::PackingLayout* layout) {
+  if (config.pack_pairs <= 0 || !config.reveal_distances ||
+      config.cache_ciphertexts) {
+    return 0;
+  }
+  const double scale = static_cast<double>(config.fp_scale);
+  std::vector<PackedAttr> planned;
+  std::vector<int> widths;
+  for (size_t i = 0; i < rule.attrs.size(); ++i) {
+    const AttrRule& a = rule.attrs[i];
+    if (a.type == AttrType::kCategorical && a.theta >= 1.0) continue;
+    if (!a.HasBound()) return 0;  // text never has one
+    PackedAttr p{i, 0, a.categories - 1};
+    if (a.type == AttrType::kNumeric) {
+      // The codec rounds v·scale, so v in [lo, hi) encodes into
+      // [floor(lo·scale), ceil(hi·scale)]; keep that inside int64.
+      const double lo = std::floor(a.lo * scale);
+      const double hi = std::ceil(a.hi * scale);
+      if (!(lo > -4e18 && hi < 4e18)) return 0;
+      p.offset = static_cast<int64_t>(lo);
+      p.max = static_cast<int64_t>(hi) - p.offset;
+    }
+    widths.push_back(
+        static_cast<int>((BigInt(p.max) * BigInt(p.max)).BitLength()));
+    planned.push_back(p);
+  }
+  auto group = crypto::PackingLayout::PlanRepeated(config.key_bits, widths,
+                                                   config.pack_pairs);
+  if (!group.ok()) return 0;  // also: no compared attribute at all
+  *attrs = std::move(planned);
+  *layout = std::move(group).value();
+  return layout->num_slots / static_cast<int>(attrs->size());
+}
+
 }  // namespace
 
 SecureRecordComparator::SecureRecordComparator(SmcConfig config,
@@ -71,6 +109,7 @@ SecureRecordComparator::SecureRecordComparator(SmcConfig config,
     alice_.AttachArena(arena_.get());
     bob_.AttachArena(arena_.get());
   }
+  packed_pairs_ = PlanPacked(config_, rule_, &packed_attrs_, &packed_layout_);
 }
 
 Status SecureRecordComparator::Init() {
@@ -227,67 +266,36 @@ Result<bool> SecureRecordComparator::CompareRows(int64_t a_id, int64_t b_id,
 }
 
 int PackedGroupPairs(const SmcConfig& config, const MatchRule& rule) {
-  if (config.pack_pairs <= 0 || !config.reveal_distances ||
-      config.cache_ciphertexts) {
-    return 0;
-  }
-  auto layout =
-      crypto::PackingLayout::Plan(config.key_bits, config.pack_slot_bits);
-  if (!layout.ok()) return 0;
-  int active = 0;
-  for (const AttrRule& attr : rule.attrs) {
-    if (attr.type == AttrType::kText) return 0;
-    if (attr.type == AttrType::kCategorical && attr.theta >= 1.0) continue;
-    ++active;
-  }
-  if (active == 0) return 0;
-  const int per_plaintext = layout->num_slots / active;
-  if (per_plaintext < 1) return 0;
-  return std::min(config.pack_pairs, per_plaintext);
-}
-
-int SecureRecordComparator::PackedGroupPairs() const {
-  return smc::PackedGroupPairs(config_, rule_);
+  std::vector<PackedAttr> attrs;
+  crypto::PackingLayout layout;
+  return PlanPacked(config, rule, &attrs, &layout);
 }
 
 Status SecureRecordComparator::PlanPackedGroup(
-    const std::vector<RowPairRequest>& pairs,
-    const crypto::PackingLayout& layout, PackedPlan* plan) const {
-  crypto::BigInt mag, sq;  // carry-check scratch, reused across the group
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    std::vector<crypto::BigInt> pxs, pys, pthr;
-    bool packable = true;
-    for (const AttrRule& rule : rule_.attrs) {
-      if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) continue;
-      auto x = EncodeAttr((*pairs[p].a)[rule.attr_index], rule);
-      if (!x.ok()) return x.status();
-      auto y = EncodeAttr((*pairs[p].b)[rule.attr_index], rule);
-      if (!y.ok()) return y.status();
-      // Carry safety: |x - y|² <= (|x| + |y|)² must stay inside one slot.
-      // sq = (|x| + |y|)² is never negative, so SlotHolds reduces to the
-      // allocation-free bit-length bound (BitLength ≤ slot_bits ⟺ v < 2^s).
-      mpz_abs(mag.raw(), x->raw());
-      mpz_abs(sq.raw(), y->raw());
-      mpz_add(mag.raw(), mag.raw(), sq.raw());
-      mpz_mul(sq.raw(), mag.raw(), mag.raw());
-      if (static_cast<int>(sq.BitLength()) > layout.slot_bits) {
-        packable = false;
-        break;
+    const std::vector<RowPairRequest>& pairs, PackedPlan* plan) const {
+  for (const RowPairRequest& pair : pairs) {
+    for (const PackedAttr& attr : packed_attrs_) {
+      const AttrRule& rule = rule_.attrs[attr.rule_index];
+      const Value& x = (*pair.a)[rule.attr_index];
+      const Value& y = (*pair.b)[rule.attr_index];
+      // The public bound is the slots' whole safety argument: outside it a
+      // value could spill into a neighbouring slot.
+      if (!rule.InBound(x) || !rule.InBound(y)) {
+        return Status::InvalidArgument(
+            "value outside the public bound of attribute '" + rule.name +
+            "'; the packed exchange cannot hold it");
       }
-      pxs.push_back(std::move(x).value());
-      pys.push_back(std::move(y).value());
-      pthr.push_back(AttrThreshold(rule));
-    }
-    if (!packable) {
-      plan->fallback_idx.push_back(p);
-      continue;
-    }
-    plan->packed_idx.push_back(p);
-    plan->slots_per_pair = pxs.size();
-    for (size_t i = 0; i < pxs.size(); ++i) {
-      plan->xs.push_back(std::move(pxs[i]));
-      plan->ys.push_back(std::move(pys[i]));
-      plan->thresholds.push_back(std::move(pthr[i]));
+      // Bounded attributes are numeric or categorical, and inside the bound
+      // a shifted encoding is an int64 in [0, max].
+      auto shifted = [&](const Value& v) {
+        return BigInt((rule.type == AttrType::kNumeric
+                           ? codec_.EncodeInt64(v.num())
+                           : v.category()) -
+                      attr.offset);
+      };
+      plan->xs.push_back(shifted(x));
+      plan->ys.push_back(shifted(y));
+      plan->thresholds.push_back(AttrThreshold(rule));
     }
   }
   return Status::OK();
@@ -295,22 +303,18 @@ Status SecureRecordComparator::PlanPackedGroup(
 
 Status SecureRecordComparator::PlanCrossTerms(
     const std::vector<RowPairRequest>& pairs, CrossTermTable* table) const {
-  auto layout =
-      crypto::PackingLayout::Plan(config_.key_bits, config_.pack_slot_bits);
-  if (!layout.ok()) return layout.status();
   PackedPlan plan;
-  HPRL_RETURN_IF_ERROR(PlanPackedGroup(pairs, *layout, &plan));
-  for (size_t g = 0; g < plan.packed_idx.size(); ++g) {
-    const int64_t a_id = pairs[plan.packed_idx[g]].a_id;
-    if (a_id < 0) continue;  // no row identity: nothing to share
-    auto [it, inserted] = table->try_emplace({a_id, g});
+  HPRL_RETURN_IF_ERROR(PlanPackedGroup(pairs, &plan));
+  const size_t k = packed_attrs_.size();
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    if (pairs[p].a_id < 0) continue;  // no row identity: nothing to share
+    auto [it, inserted] = table->try_emplace({pairs[p].a_id, p});
     if (!inserted) continue;
     PackedCrossTerms& terms = it->second;
-    terms.first_slot = g * plan.slots_per_pair;
+    terms.first_slot = p * k;
     terms.xs.assign(
-        plan.xs.begin() + static_cast<std::ptrdiff_t>(terms.first_slot),
-        plan.xs.begin() + static_cast<std::ptrdiff_t>(terms.first_slot +
-                                                      plan.slots_per_pair));
+        plan.xs.begin() + static_cast<std::ptrdiff_t>(p * k),
+        plan.xs.begin() + static_cast<std::ptrdiff_t>((p + 1) * k));
   }
   return Status::OK();
 }
@@ -319,11 +323,9 @@ Status SecureRecordComparator::EncryptCrossTerms(PackedCrossTerms* terms) {
   if (!initialized_) {
     return Status::FailedPrecondition("call Init() before comparing");
   }
-  auto layout =
-      crypto::PackingLayout::Plan(config_.key_bits, config_.pack_slot_bits);
-  if (!layout.ok()) return layout.status();
   WallTimer timer;
-  HPRL_RETURN_IF_ERROR(alice_.EncryptCrossTerms(*layout, terms, &costs_));
+  HPRL_RETURN_IF_ERROR(
+      alice_.EncryptCrossTerms(packed_layout_, terms, &costs_));
   if (metrics_ != nullptr) {
     obs::Observe(metrics_, "smc.cross_term_seconds", timer.ElapsedSeconds());
   }
@@ -336,92 +338,73 @@ Result<std::vector<bool>> SecureRecordComparator::ComparePackedGroup(
   if (!initialized_) {
     return Status::FailedPrecondition("call Init() before comparing");
   }
-  const int group_pairs = PackedGroupPairs();
-  if (group_pairs < 1) {
+  if (packed_pairs_ < 1) {
     return Status::FailedPrecondition(
         "packed path unavailable for this config/rule");
   }
-  if (pairs.size() > static_cast<size_t>(group_pairs)) {
+  if (pairs.size() > static_cast<size_t>(packed_pairs_)) {
     return Status::InvalidArgument("packed group larger than capacity");
   }
   std::vector<bool> results(pairs.size(), false);
   if (pairs.empty()) return results;
-  auto layout =
-      crypto::PackingLayout::Plan(config_.key_bits, config_.pack_slot_bits);
-  if (!layout.ok()) return layout.status();
 
   WallTimer compare_timer;
   PackedPlan plan;
-  HPRL_RETURN_IF_ERROR(PlanPackedGroup(pairs, *layout, &plan));
-  const std::vector<size_t>& packed_idx = plan.packed_idx;
-
-  if (!packed_idx.empty()) {
-    // The batch's pre-encrypted cross terms for these pairs; SendAttrsPacked
-    // checks each against the values it is about to send.
-    std::vector<const PackedCrossTerms*> reuse;
-    if (cross_terms != nullptr) {
-      for (size_t g = 0; g < packed_idx.size(); ++g) {
-        auto it = cross_terms->find({pairs[packed_idx[g]].a_id, g});
-        if (it != cross_terms->end()) reuse.push_back(&it->second);
-      }
-    }
-    const int64_t ctx_a = pairs[packed_idx.front()].a_id;
-    const int64_t ctx_b = pairs[packed_idx.front()].b_id;
-    costs_.invocations += static_cast<int64_t>(packed_idx.size());
-    costs_.attr_comparisons += static_cast<int64_t>(plan.xs.size());
-    costs_.packed_exchanges += 1;
-    costs_.packed_pairs += static_cast<int64_t>(packed_idx.size());
-    auto within =
-        RetryExchange(ctx_a, ctx_b, 0, [&]() -> Result<std::vector<bool>> {
-          // Rewind the scratch arena per attempt: nothing allocated during a
-          // previous (possibly faulted) attempt outlives the exchange.
-          if (arena_ != nullptr) arena_->Reset();
-          HPRL_RETURN_IF_ERROR(alice_.SendAttrsPacked(
-              bus_.get(), bob_.name(), plan.xs, *layout, &costs_, reuse));
-          HPRL_RETURN_IF_ERROR(bob_.FoldAndForwardPacked(bus_.get(), plan.ys,
-                                                         *layout, &costs_));
-          return qp_.DecideAttrsPacked(bus_.get(), plan.thresholds, *layout,
-                                       &costs_);
-        });
-    if (!within.ok()) return within.status();
-    // Conjunction per pair over its slot verdicts (exact distances, so the
-    // label matches the scalar path's early-exit conjunction bit for bit).
-    std::vector<uint8_t> labels;
-    labels.reserve(packed_idx.size());
-    size_t slot = 0;
-    for (size_t g = 0; g < packed_idx.size(); ++g) {
-      bool match = true;
-      for (size_t i = 0; i < plan.slots_per_pair; ++i, ++slot) {
-        match = match && (*within)[slot];
-      }
-      results[packed_idx[g]] = match;
-      labels.push_back(match ? 1 : 0);
-    }
-    auto announced =
-        RetryExchange(ctx_a, ctx_b, 1, [&]() -> Result<bool> {
-          HPRL_RETURN_IF_ERROR(qp_.AnnounceResults(bus_.get(), labels));
-          HPRL_RETURN_IF_ERROR(
-              alice_.ReceiveResults(bus_.get(), labels.size()).status());
-          HPRL_RETURN_IF_ERROR(
-              bob_.ReceiveResults(bus_.get(), labels.size()).status());
-          return true;
-        });
-    if (!announced.ok()) return announced.status();
-    if (metrics_ != nullptr) {
-      obs::Add(metrics_, "smc.rounds", 2);
-      obs::Add(metrics_, "smc.attr_comparisons",
-               static_cast<int64_t>(plan.xs.size()));
-      obs::Add(metrics_, "smc.packed_groups");
-      obs::Observe(metrics_, "smc.compare_seconds",
-                   compare_timer.ElapsedSeconds());
+  HPRL_RETURN_IF_ERROR(PlanPackedGroup(pairs, &plan));
+  // The batch's pre-encrypted cross terms for these pairs; SendAttrsPacked
+  // checks each against the values it is about to send.
+  std::vector<const PackedCrossTerms*> reuse;
+  if (cross_terms != nullptr) {
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      auto it = cross_terms->find({pairs[p].a_id, p});
+      if (it != cross_terms->end()) reuse.push_back(&it->second);
     }
   }
-
-  for (size_t idx : plan.fallback_idx) {
-    auto m = CompareRows(pairs[idx].a_id, pairs[idx].b_id, *pairs[idx].a,
-                         *pairs[idx].b);
-    if (!m.ok()) return m.status();
-    results[idx] = *m;
+  const int64_t ctx_a = pairs.front().a_id;
+  const int64_t ctx_b = pairs.front().b_id;
+  costs_.invocations += static_cast<int64_t>(pairs.size());
+  costs_.attr_comparisons += static_cast<int64_t>(plan.xs.size());
+  costs_.packed_exchanges += 1;
+  costs_.packed_pairs += static_cast<int64_t>(pairs.size());
+  auto within =
+      RetryExchange(ctx_a, ctx_b, 0, [&]() -> Result<std::vector<bool>> {
+        // Rewind the scratch arena per attempt: nothing allocated during a
+        // previous (possibly faulted) attempt outlives the exchange.
+        if (arena_ != nullptr) arena_->Reset();
+        HPRL_RETURN_IF_ERROR(alice_.SendAttrsPacked(
+            bus_.get(), bob_.name(), plan.xs, packed_layout_, &costs_, reuse));
+        HPRL_RETURN_IF_ERROR(bob_.FoldAndForwardPacked(
+            bus_.get(), plan.ys, packed_layout_, &costs_));
+        return qp_.DecideAttrsPacked(bus_.get(), plan.thresholds,
+                                     packed_layout_, &costs_);
+      });
+  if (!within.ok()) return within.status();
+  // Conjunction per pair over its slot verdicts (exact distances, so the
+  // label matches the scalar path's early-exit conjunction bit for bit).
+  std::vector<uint8_t> labels(pairs.size());
+  const size_t k = packed_attrs_.size();
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    bool match = true;
+    for (size_t i = 0; i < k; ++i) match = match && (*within)[p * k + i];
+    results[p] = match;
+    labels[p] = match ? 1 : 0;
+  }
+  auto announced = RetryExchange(ctx_a, ctx_b, 1, [&]() -> Result<bool> {
+    HPRL_RETURN_IF_ERROR(qp_.AnnounceResults(bus_.get(), labels));
+    HPRL_RETURN_IF_ERROR(
+        alice_.ReceiveResults(bus_.get(), labels.size()).status());
+    HPRL_RETURN_IF_ERROR(
+        bob_.ReceiveResults(bus_.get(), labels.size()).status());
+    return true;
+  });
+  if (!announced.ok()) return announced.status();
+  if (metrics_ != nullptr) {
+    obs::Add(metrics_, "smc.rounds", 2);
+    obs::Add(metrics_, "smc.attr_comparisons",
+             static_cast<int64_t>(plan.xs.size()));
+    obs::Add(metrics_, "smc.packed_groups");
+    obs::Observe(metrics_, "smc.compare_seconds",
+                 compare_timer.ElapsedSeconds());
   }
   return results;
 }

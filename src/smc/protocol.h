@@ -84,19 +84,20 @@ struct SmcConfig {
   /// pairs' per-attribute distances land in disjoint bit-slots of a single
   /// Paillier plaintext, so one decryption serves the whole group and each
   /// side encrypts one packed square (Alice Σx²·W, Bob Σy²·W) per group.
+  /// Slot widths follow from the rule's public bounds (PackedGroupPairs).
   /// Alice's per-slot cross terms are encrypted once per batch for each
   /// (Alice row, position in the group) and shared by the groups that
   /// repeat it (BatchSmcEngine::CompareBatch). Requires reveal_distances
-  /// (the packed plaintext IS the distances) and is ignored with ciphertext
-  /// caching on (a packed exchange is unique to its group). 0 (the default)
-  /// keeps the scalar §V-A exchange everywhere.
+  /// (the packed plaintext IS the distances) and public bounds on every
+  /// compared attribute, and is ignored with ciphertext caching on (a
+  /// packed exchange is unique to its group). 0 (the default) keeps the
+  /// scalar §V-A exchange everywhere.
   /// Labels are bit-identical either way — both paths compute the exact
   /// (x-y)² per attribute.
   int pack_pairs = 0;
 
-  /// Bit width of one packed slot. Every slot must hold (|x| + |y|)² for
-  /// its attribute pair; groups containing a pair that fails this carry-
-  /// safety check fall back to the scalar exchange for that pair.
+  /// Ignored: every slot's width now follows from its attribute's public
+  /// bound. Kept so that code which still sets it compiles.
   int pack_slot_bits = 64;
 
   /// Non-empty: persistent offline-material store directory
@@ -130,16 +131,26 @@ struct SmcConfig {
 };
 
 /// Alice's cross terms for one batch of packed groups, keyed by (Alice row
-/// id, position of the pair among its group's packed pairs). The position
-/// fixes the slots, so one entry serves every group that holds the same
-/// row at the same position. BatchSmcEngine fills it before the batch's
-/// groups run and only reads it while they do.
+/// id, position of the pair in its group). The position fixes the slots, so
+/// one entry serves every group that holds the same row at the same
+/// position. BatchSmcEngine fills it before the batch's groups run and only
+/// reads it while they do.
 using CrossTermTable = std::map<std::pair<int64_t, size_t>, PackedCrossTerms>;
 
-/// Pairs one packed exchange can carry under `config` and `rule` (active
-/// attributes per pair vs slots per plaintext); 0 when the packed path is
-/// unavailable (packing off, blinded comparisons, ciphertext caching, text
-/// attributes, or a modulus too small for one slot group).
+/// One compared attribute's public slot domain in the packed exchange. Both
+/// holders subtract `offset` from their encodings, so an in-bound value and
+/// any distance between two lie in [0, max]: a bitlen(max²)-bit slot holds
+/// every square, so no carry can cross it.
+struct PackedAttr {
+  size_t rule_index = 0;  ///< into MatchRule::attrs
+  int64_t offset = 0;     ///< numeric: floor(lo·fp_scale); categorical: 0
+  int64_t max = 0;        ///< ceil(hi·fp_scale) - offset, or categories - 1
+};
+
+/// Pairs one packed exchange can carry under `config` and `rule`:
+/// min(pack_pairs, (key_bits - 2) / Σ slot widths); 0 when the packed path
+/// is unavailable (packing off, blinded comparisons, ciphertext caching, a
+/// compared attribute without a public bound, or too small a modulus).
 int PackedGroupPairs(const SmcConfig& config, const MatchRule& rule);
 
 /// Drives the paper's §V-A secure record comparison among the three party
@@ -190,29 +201,29 @@ class SecureRecordComparator {
   /// smc::PackedGroupPairs for this comparator's config and rule. Depends
   /// only on those, so every worker of a batch engine plans identical
   /// groups regardless of thread count.
-  int PackedGroupPairs() const;
+  int PackedGroupPairs() const { return packed_pairs_; }
 
   /// Runs the packed variant of the §V-A exchange on up to
   /// PackedGroupPairs() pairs at once: one "alice_pk" message (packed
   /// Enc(Σx²·W) plus per-slot Enc(-2x·W)), one folded "bob_pk" ciphertext,
-  /// ONE decryption, then a single group result announcement. Pairs whose
-  /// values fail the per-slot carry-safety check are compared through the
-  /// scalar path instead (same labels, see SmcConfig::pack_pairs). Returns
-  /// per-pair match flags in input order. Transient transport faults heal
-  /// through the same retry layer as the scalar exchange.
+  /// ONE decryption, then a single group result announcement. Returns
+  /// per-pair match flags in input order. A value outside its attribute's
+  /// public bound fails the group with InvalidArgument before anything is
+  /// encrypted. Transient transport faults heal through the same retry
+  /// layer as the scalar exchange.
   ///
-  /// With `cross_terms`, Alice copies each packed pair's cross terms from
-  /// its (a_id, position) entry instead of encrypting them, whenever the
-  /// entry holds this pair's values; a retry copies them again rather than
+  /// With `cross_terms`, Alice copies each pair's cross terms from its
+  /// (a_id, position) entry instead of encrypting them, whenever the entry
+  /// holds this pair's values; a retry copies them again rather than
   /// re-encrypting. Labels are the same with or without the table.
   Result<std::vector<bool>> ComparePackedGroup(
       const std::vector<RowPairRequest>& pairs,
       const CrossTermTable* cross_terms = nullptr);
 
   /// Adds to `table` an entry, with its values but no ciphertexts yet, for
-  /// every pair of the packed group `pairs` that packs, has an a_id >= 0
-  /// and whose (a_id, position) key is not in `table` yet. Planning the
-  /// batch's groups in order makes the first occurrence of a key own it.
+  /// every pair of the packed group `pairs` that has an a_id >= 0 and whose
+  /// (a_id, position) key is not in `table` yet. Planning the batch's
+  /// groups in order makes the first occurrence of a key own it.
   Status PlanCrossTerms(const std::vector<RowPairRequest>& pairs,
                         CrossTermTable* table) const;
 
@@ -246,20 +257,15 @@ class SecureRecordComparator {
   /// Scaled integer threshold for attribute `rule` (compare vs (x-y)^2).
   crypto::BigInt AttrThreshold(const AttrRule& rule) const;
 
-  /// A packed group split into the pairs that pack and the scalar
-  /// fallbacks. Slot order is pair-major, attribute-minor: packed pair g
-  /// holds slots [g·slots_per_pair, (g+1)·slots_per_pair).
+  /// A packed group's slot values, pair-major and attribute-minor: pair p
+  /// holds slots [p·k, (p+1)·k) for k = packed_attrs_.size().
   struct PackedPlan {
     std::vector<crypto::BigInt> xs, ys, thresholds;
-    std::vector<size_t> packed_idx;    // input index per packed pair
-    std::vector<size_t> fallback_idx;  // pairs compared through the scalar path
-    size_t slots_per_pair = 0;
   };
 
-  /// Encodes every pair of `pairs` and applies the per-slot carry-safety
-  /// check ((|x| + |y|)² fits a slot of `layout`).
+  /// Encodes every pair of `pairs` shifted by its attributes' offsets;
+  /// InvalidArgument when a value falls outside its public bound.
   Status PlanPackedGroup(const std::vector<RowPairRequest>& pairs,
-                         const crypto::PackingLayout& layout,
                          PackedPlan* plan) const;
 
   /// Retries `exchange` after transient transport faults (see
@@ -279,6 +285,11 @@ class SecureRecordComparator {
   bool initialized_ = false;
   obs::MetricsRegistry* metrics_ = nullptr;  // not owned; may be null
   crypto::RandomizerPool* pool_ = nullptr;   // not owned; may be null
+
+  // The packed exchange's public plan (PlanPacked), fixed by config + rule.
+  std::vector<PackedAttr> packed_attrs_;
+  crypto::PackingLayout packed_layout_;
+  int packed_pairs_ = 0;
 
   // Shared scratch arena for the packed exchange (SmcConfig::use_arena);
   // reset at the start of every packed attempt. Owned here, lent to the

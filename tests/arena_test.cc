@@ -168,6 +168,8 @@ MatchRule TwoNumericRule() {
     a.type = AttrType::kNumeric;
     a.theta = 0.05;
     a.norm = 96;
+    a.lo = 16;
+    a.hi = 112;
     rule.attrs.push_back(a);
   }
   return rule;
@@ -191,8 +193,7 @@ TEST(ArenaPackedSmcTest, ArenaOnAndOffLabelsBitIdentical) {
     smc::SmcConfig cfg;
     cfg.key_bits = 512;
     cfg.test_seed = 4242;
-    cfg.pack_pairs = 3;  // 512-bit key, 64-bit slots -> 7 slots, 3 pairs
-    cfg.pack_slot_bits = 64;
+    cfg.pack_pairs = 3;  // 512-bit key, 34-bit slots: capped at 3 pairs
     cfg.use_arena = use_arena;
     smc::BatchSmcEngine engine(cfg, rule, 2);
     ASSERT_TRUE(engine.Init().ok());

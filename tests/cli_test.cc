@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "adult/adult.h"
+#include "cli/plan.h"
 #include "cli/runner.h"
 #include "cli/spec.h"
 #include "common/exit_codes.h"
@@ -115,6 +116,30 @@ TEST(SpecParserTest, RejectsMalformedSpecs) {
       ParseLinkageSpec("attr x text\nheuristic Bogus\n", ".").ok());
   EXPECT_FALSE(
       ParseLinkageSpec("attr x text\nsensitive y ldiv x\n", ".").ok());
+}
+
+// Slot widths come from the hierarchies now: smc_pack's old second token
+// (the uniform slot width, which older specs and tools still write) is
+// accepted and changes nothing.
+TEST(SpecParserTest, SmcPackSlotBitsTokenIsIgnored) {
+  auto with_bits = ParseLinkageSpec("attr x text\nsmc_pack 8 64\n", ".");
+  auto without = ParseLinkageSpec("attr x text\nsmc_pack 8\n", ".");
+  auto other_bits = ParseLinkageSpec("attr x text\nsmc_pack 8 40\n", ".");
+  ASSERT_TRUE(with_bits.ok() && without.ok() && other_bits.ok());
+  for (const LinkageSpec* spec : {&*with_bits, &*other_bits}) {
+    const smc::SmcConfig a = SmcConfigFromSpec(*spec);
+    const smc::SmcConfig b = SmcConfigFromSpec(*without);
+    EXPECT_EQ(a.pack_pairs, 8);
+    EXPECT_EQ(a.pack_pairs, b.pack_pairs);
+    EXPECT_EQ(a.key_bits, b.key_bits);
+    EXPECT_EQ(a.max_retries, b.max_retries);
+    EXPECT_EQ(a.test_seed, b.test_seed);
+    EXPECT_EQ(a.material_dir, b.material_dir);
+    EXPECT_EQ(a.offline_pairs, b.offline_pairs);
+  }
+  EXPECT_FALSE(ParseLinkageSpec("attr x text\nsmc_pack\n", ".").ok());
+  EXPECT_FALSE(ParseLinkageSpec("attr x text\nsmc_pack 8 64 1\n", ".").ok());
+  EXPECT_FALSE(ParseLinkageSpec("attr x text\nsmc_pack -1\n", ".").ok());
 }
 
 TEST(SpecParserTest, MembershipDirectives) {
@@ -441,6 +466,74 @@ TEST_F(RunnerTest, MissingColumnIsReported) {
   auto report = RunLinkageFromFiles(*spec, (dir_ / "r.csv").string(),
                                     (dir_ / "s.csv").string(), {});
   EXPECT_EQ(report.status().code(), StatusCode::kNotFound);
+}
+
+// The QIDs of hprl_gen's spec (age [16, 112) and four categoricals) take
+// 34 + 6 + 8 + 6 + 8 = 62 bits per pair, so a 1024-bit plaintext holds 16
+// pairs and the paper's `smc_pack 8` gets all 8.
+TEST_F(RunnerTest, HprlGenSpecPacksEightPairsPerPlaintext) {
+  auto h = adult::BuildAdultHierarchies();
+  {
+    std::ofstream out(dir_ / "occupation.vgh");
+    out << FormatCategoricalVgh(*h.ByName("occupation"));
+  }
+  {
+    std::ofstream spec(dir_ / "gen.spec");
+    spec << "attr age numeric equiwidth 16 8 3,2,2 theta 0.05\n"
+         << "attr workclass categorical vghfile workclass.vgh theta 0.05\n"
+         << "attr education categorical vghfile education.vgh theta 0.05\n"
+         << "attr marital-status categorical vghfile marital-status.vgh "
+            "theta 0.05\n"
+         << "attr occupation categorical vghfile occupation.vgh theta 0.05\n"
+         << "keybits 1024\n"
+         << "smc_pack 8 64\n";
+  }
+  auto spec = LoadLinkageSpec((dir_ / "gen.spec").string());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto plan = BuildPlan(*spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  smc::SmcConfig config = SmcConfigFromSpec(*spec);
+  EXPECT_EQ(smc::PackedGroupPairs(config, plan->rule), 8);
+  config.pack_pairs = 64;
+  EXPECT_EQ(smc::PackedGroupPairs(config, plan->rule), 1022 / 62);
+}
+
+// The hierarchies' roots and leaves are the public bounds the packed
+// exchange sizes its slots from: an age outside the root or an unknown
+// category stops the run while typing the input, before any SMC work.
+TEST_F(RunnerTest, OutOfDomainValueFailsBeforeAnySmc) {
+  const auto original = ReadCsvRaw((dir_ / "r.csv").string());
+  ASSERT_TRUE(original.ok());
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"age", "112"}, {"age", "15.5"}, {"education", "Postdoc"}};
+  for (const auto& [column, value] : cases) {
+    RawCsv raw = *original;
+    const int col = raw.FindColumn(column);
+    ASSERT_GE(col, 0);
+    raw.rows[5][col] = value;
+    {
+      std::ofstream out(dir_ / "r.csv");
+      out << Join(raw.header, ",") << "\n";
+      for (const auto& row : raw.rows) out << Join(row, ",") << "\n";
+    }
+    auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
+    ASSERT_TRUE(spec.ok());
+    spec->key_bits = 256;
+    spec->smc_pack = 8;
+    obs::MetricsRegistry registry;
+    RunnerOptions options;
+    options.metrics = &registry;
+    auto report = RunLinkageFromFiles(*spec, (dir_ / "r.csv").string(),
+                                      (dir_ / "s.csv").string(), options);
+    ASSERT_FALSE(report.ok()) << column << "=" << value;
+    EXPECT_NE(report.status().message().find("row 6"), std::string::npos)
+        << report.status().ToString();
+    for (const auto& [name, count] : registry.CounterValues()) {
+      EXPECT_TRUE(name.rfind("smc.", 0) != 0 &&
+                  name.rfind("paillier.", 0) != 0)
+          << column << "=" << value << ": " << name << " = " << count;
+    }
+  }
 }
 
 TEST_F(RunnerTest, UnknownCategoryIsReportedWithRowContext) {

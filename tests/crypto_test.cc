@@ -490,8 +490,35 @@ TEST(PackingTest, PlanComputesSlotCount) {
   ASSERT_TRUE(layout.ok());
   EXPECT_EQ(layout->slot_bits, 64);
   EXPECT_EQ(layout->num_slots, 3);  // (256 - 2) / 64
+  EXPECT_EQ(layout->offsets, (std::vector<int>{0, 64, 128, 192}));
   EXPECT_FALSE(PackingLayout::Plan(256, 7).ok());    // below the minimum width
   EXPECT_FALSE(PackingLayout::Plan(32, 64).ok());    // no full slot fits
+}
+
+TEST(PackingTest, PlanRepeatedLaysOutMixedWidths) {
+  // The hprl_gen QIDs: age [16, 112) at fp_scale 1000 (34 bits) and four
+  // categoricals; 62 bits per pair, 16 pairs fit 1022 bits, 8 requested.
+  const std::vector<int> pattern = {34, 6, 8, 6, 8};
+  auto layout = PackingLayout::PlanRepeated(1024, pattern, 8);
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  EXPECT_EQ(layout->num_slots, 40);
+  EXPECT_EQ(layout->slot_bits, 34);
+  ASSERT_EQ(layout->offsets.size(), 41u);
+  EXPECT_EQ(layout->offsets.back(), 8 * 62);
+  for (size_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(layout->SlotWidth(i), pattern[i % 5]) << i;
+    EXPECT_EQ(layout->SlotOffset(i),
+              static_cast<int>(i / 5) * 62 + layout->SlotOffset(i % 5));
+  }
+  // Capacity, not the request, limits a small modulus: 254 / 62 = 4.
+  auto small = PackingLayout::PlanRepeated(256, pattern, 8);
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small->num_slots, 20);
+  EXPECT_TRUE(PackingLayout::PlanRepeated(64, pattern, 8).ok());  // 62 bits
+  EXPECT_FALSE(PackingLayout::PlanRepeated(63, pattern, 8).ok());
+  EXPECT_FALSE(PackingLayout::PlanRepeated(1024, {}, 8).ok());
+  EXPECT_FALSE(PackingLayout::PlanRepeated(1024, {8, 0}, 8).ok());
+  EXPECT_FALSE(PackingLayout::PlanRepeated(1024, pattern, 0).ok());
 }
 
 TEST(PackingTest, PackUnpackRoundTrip) {
@@ -512,9 +539,10 @@ TEST(PackingTest, RejectsOverflowNegativeAndTooMany) {
   auto layout = PackingLayout::Plan(256, 64);
   ASSERT_TRUE(layout.ok());
   const BigInt slot_cap = layout->SlotWeight(1);  // 2^64
-  EXPECT_TRUE(layout->SlotHolds(slot_cap - BigInt(1)));
-  EXPECT_FALSE(layout->SlotHolds(slot_cap));
-  EXPECT_FALSE(layout->SlotHolds(BigInt(-1)));
+  EXPECT_TRUE(layout->SlotHolds(0, slot_cap - BigInt(1)));
+  EXPECT_FALSE(layout->SlotHolds(0, slot_cap));
+  EXPECT_FALSE(layout->SlotHolds(0, BigInt(-1)));
+  EXPECT_FALSE(layout->SlotHolds(3, BigInt(0)));  // past the last slot
   EXPECT_FALSE(PackSlots({slot_cap}, *layout).ok());
   EXPECT_FALSE(PackSlots({BigInt(-1)}, *layout).ok());
   EXPECT_FALSE(PackSlots({BigInt(1), BigInt(2), BigInt(3), BigInt(4)},
@@ -589,6 +617,81 @@ TEST_F(PaillierTest, PackedFoldMatchesScalarSquaredDistances) {
     }
   }
 }
+
+// Property (in the style of a proptest suite): random in-domain values, with
+// 0 and each domain's maximum forced into every slot in turn, packed into a
+// mixed-width layout and folded homomorphically — Enc(Σx²·W) +h Enc(Σy²·W)
+// +h Σ Enc(-2x_i·W_i) ×h y_i — decrypt ONCE to exactly (x_i - y_i)² in every
+// slot i. The domains are the hprl_gen QIDs' (age [16, 112) at fp_scale
+// 1000, shifted to [0, 96000], and four categoricals), each slot
+// bitlen(max²) wide, so the extremes fill their slots exactly.
+class PackedFoldPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PackedFoldPropertyTest, EverySlotDecryptsToItsSquaredDistance) {
+  const int key_bits = GetParam();
+  SecureRandom key_rng(static_cast<uint64_t>(key_bits));
+  auto kp = GeneratePaillierKeyPair(key_bits, key_rng);
+  ASSERT_TRUE(kp.ok()) << kp.status().ToString();
+  const std::vector<int64_t> maxima = {96000, 7, 15, 6, 13};
+  std::vector<int> pattern;
+  for (int64_t m : maxima) {
+    pattern.push_back(static_cast<int>((BigInt(m) * BigInt(m)).BitLength()));
+  }
+  auto layout = PackingLayout::PlanRepeated(key_bits, pattern, 8);
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  const size_t k = static_cast<size_t>(layout->num_slots);
+  ASSERT_EQ(k % maxima.size(), 0u);
+
+  SecureRandom vals(static_cast<uint64_t>(key_bits) + 7);
+  SecureRandom enc_rng(5);
+  const int rounds = key_bits > 256 ? 4 : 12;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<BigInt> xs(k), ys(k), x2(k), y2(k);
+    for (size_t i = 0; i < k; ++i) {
+      const BigInt max(maxima[i % maxima.size()]);
+      // Later rounds draw uniformly, but hit 0 and the maximum at an
+      // eighth of the slots each.
+      auto draw = [&]() {
+        const int64_t pick = vals.NextBelow(BigInt(8)).ToInt64().value_or(2);
+        return pick == 0   ? BigInt(0)
+               : pick == 1 ? max
+                           : vals.NextBelow(max + BigInt(1));
+      };
+      switch (round) {  // rounds 0-2 pin the extremes at every slot
+        case 0: xs[i] = BigInt(0), ys[i] = max; break;
+        case 1: xs[i] = max, ys[i] = BigInt(0); break;
+        case 2: xs[i] = max, ys[i] = max; break;
+        default: xs[i] = draw(), ys[i] = draw();
+      }
+      x2[i] = xs[i] * xs[i];
+      y2[i] = ys[i] * ys[i];
+    }
+    auto px2 = PackSlots(x2, *layout);
+    auto py2 = PackSlots(y2, *layout);
+    ASSERT_TRUE(px2.ok() && py2.ok()) << "round " << round;
+    auto cx2 = kp->pub.Encrypt(*px2, enc_rng);
+    auto cy2 = kp->pub.Encrypt(*py2, enc_rng);
+    ASSERT_TRUE(cx2.ok() && cy2.ok());
+    BigInt acc = kp->pub.Add(*cx2, *cy2);
+    for (size_t i = 0; i < k; ++i) {
+      auto cm2x = kp->pub.EncryptSigned(
+          BigInt(-2) * xs[i] * layout->SlotWeight(i), enc_rng);
+      ASSERT_TRUE(cm2x.ok());
+      acc = kp->pub.Add(acc, kp->pub.ScalarMul(*cm2x, ys[i]));
+    }
+    auto packed = kp->priv.Decrypt(acc);
+    ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+    auto slots = UnpackSlots(*packed, k, *layout);
+    ASSERT_TRUE(slots.ok()) << slots.status().ToString();
+    for (size_t i = 0; i < k; ++i) {
+      const BigInt d = xs[i] - ys[i];
+      EXPECT_EQ((*slots)[i], d * d) << "round " << round << " slot " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeySizes, PackedFoldPropertyTest,
+                         ::testing::Values(256, 1024));
 
 TEST_F(RandomizerPoolTest, FixedBaseRandomizersAreValidUnits) {
   RandomizerPool fast(pub_, 4, 21);

@@ -344,12 +344,11 @@ TEST(MaterialEngineTest, PrewarmSizedFromConfiguredPath) {
   EXPECT_EQ(smc::OfflineRandomizers(scalar, w.rule),
             scalar.randomizer_pool_depth);
 
-  // 254 usable bits / 40-bit slots = 6 slots: 2 pairs of 3 attributes per
-  // group, so 8 pairs take 4 groups of 3·2 + 2 encryptions each.
+  // Two pairs of 3 attributes per group, so 8 pairs take 4 groups of
+  // 3·2 + 2 encryptions each.
   const std::string dir = MakeTempDir();
   smc::SmcConfig packed = MaterialSmcConfig(dir);
-  packed.pack_pairs = 4;
-  packed.pack_slot_bits = 40;
+  packed.pack_pairs = 2;
   ASSERT_EQ(smc::PackedGroupPairs(packed, w.rule), 2);
   EXPECT_EQ(smc::OfflineRandomizers(packed, w.rule), 4 * (3 * 2 + 2));
   packed.offline_pairs = 7;  // a partial group still gets its squares
@@ -361,9 +360,11 @@ TEST(MaterialEngineTest, PrewarmSizedFromConfiguredPath) {
   ASSERT_FALSE(cold.material_warm());
   MaterialStore store(dir);
   const BigInt& n = cold.public_key().n();
+  // Randomizers and tables do not depend on the packing layout: packed
+  // material is filed under slot_bits 0, like scalar material.
   auto saved = store.Load(KeyFingerprint(n),
                           static_cast<uint32_t>(n.BitLength()),
-                          /*slot_bits=*/40);
+                          /*slot_bits=*/0);
   ASSERT_TRUE(saved.ok()) << saved.status().ToString();
   EXPECT_EQ(saved->randomizers.size(),
             static_cast<size_t>(smc::OfflineRandomizers(packed, w.rule)));

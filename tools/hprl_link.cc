@@ -4,7 +4,7 @@
 //             [--links links.csv] [--release-r ra.txt] [--release-s rb.txt]
 //             [--with-rows] [--evaluate] [--metrics_out run.json]
 //             [--threads N] [--smc_threads N]
-//             [--smc_pack N] [--smc_pack_slot_bits N]
+//             [--smc_pack N]
 //             [--smc_seed N] [--material_dir DIR] [--offline_pairs N]
 //             [--offline]
 //             [--rpc_batch N] [--rpc_window N] [--shards N]
@@ -75,9 +75,6 @@ int main(int argc, char** argv) {
   int64_t* smc_pack = flags.AddInt(
       "smc_pack", -1,
       "pairs per packed SMC exchange (0 = scalar; -1 = use the spec's)");
-  int64_t* smc_pack_slot_bits = flags.AddInt(
-      "smc_pack_slot_bits", -1,
-      "bit width of one packed slot (-1 = use the spec's)");
   int64_t* smc_seed = flags.AddInt(
       "smc_seed", -1,
       "pinned keypair/protocol seed; 0 = OS entropy, -1 = use the spec's. "
@@ -270,7 +267,6 @@ int main(int argc, char** argv) {
   options.threads_override = static_cast<int>(*threads);
   options.smc_threads_override = static_cast<int>(*smc_threads);
   options.smc_pack_override = static_cast<int>(*smc_pack);
-  options.smc_pack_slot_bits_override = static_cast<int>(*smc_pack_slot_bits);
   options.rpc_batch_override = static_cast<int>(*rpc_batch);
   options.rpc_window_override = static_cast<int>(*rpc_window);
   options.smc_seed_override = *smc_seed;
